@@ -89,7 +89,9 @@ impl std::error::Error for SealError {}
 
 /// The abstract capability interface of §4.1.
 ///
-/// Implementations are pure values: every operation returns a new capability.
+/// Implementations are pure values: every operation returns a new capability,
+/// and a capability is plain `Copy` data, so the executors pass it around by
+/// value without touching the heap.
 /// The central architectural invariant — *monotonicity / unforgeability* — is
 /// expressed by the contracts below: no operation ever yields a tagged
 /// capability whose bounds or permissions exceed those of a tagged input.
@@ -98,7 +100,7 @@ impl std::error::Error for SealError {}
 /// **clear the tag but keep the requested address**, matching the behaviour
 /// of all current CHERI architectures (the trap-on-construct alternative
 /// "turns out to be less useful").
-pub trait Capability: Clone + PartialEq + Eq + Hash + fmt::Debug {
+pub trait Capability: Copy + PartialEq + Eq + Hash + fmt::Debug {
     /// Number of bits in a virtual address (64 for Morello, 32 for CHERIoT).
     const ADDR_BITS: u32;
     /// Size in bytes of the in-memory representation, excluding the tag.

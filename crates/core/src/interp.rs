@@ -16,10 +16,11 @@ use crate::ast::{BinOp, UnOp};
 use crate::profile::Profile;
 use crate::report::{Outcome, RunResult};
 use crate::tast::*;
-use crate::types::{FloatTy, IntTy, Ty, TypeTable};
+use crate::types::{int_binary, int_binary_ub_detail, FloatTy, IntTy, Ty, TypeTable};
 
-/// Runtime value.
-#[derive(Clone, Debug)]
+/// Runtime value: plain `Copy` data, moved between registers without
+/// touching the heap.
+#[derive(Clone, Copy, Debug)]
 pub enum Value<C> {
     /// No value.
     Void,
@@ -38,14 +39,24 @@ pub enum Value<C> {
         /// The value.
         v: f64,
     },
-    /// Pointer.
+    /// Pointer. Its C type lives in the instruction or expression that
+    /// produced it, so a value never owns heap data.
     Ptr {
-        /// The pointer's C type.
-        ty: Ty,
         /// The value.
         v: PtrVal<C>,
     },
 }
+
+// Values are plain data: `Copy`, so no heap-owning field can come back
+// unnoticed, and no larger than the 112 bytes they take with a Morello
+// capability (a register move is one fixed-size copy).
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<Value<cheri_cap::MorelloCap>>();
+    assert_copy::<PtrVal<cheri_cap::MorelloCap>>();
+    assert_copy::<IntVal<cheri_cap::MorelloCap>>();
+    assert!(std::mem::size_of::<Value<cheri_cap::MorelloCap>>() <= 112);
+};
 
 impl<C: Capability> Value<C> {
     pub(crate) fn truthy(&self) -> bool {
@@ -53,7 +64,7 @@ impl<C: Capability> Value<C> {
             Value::Void => false,
             Value::Int { v, .. } => v.value() != 0,
             Value::Float { v, .. } => *v != 0.0,
-            Value::Ptr { v, .. } => v.addr() != 0,
+            Value::Ptr { v } => v.addr() != 0,
         }
     }
 
@@ -73,7 +84,7 @@ impl<C: Capability> Value<C> {
 
     pub(crate) fn as_ptr(&self) -> Option<&PtrVal<C>> {
         match self {
-            Value::Ptr { v, .. } => Some(v),
+            Value::Ptr { v } => Some(v),
             _ => None,
         }
     }
@@ -81,7 +92,7 @@ impl<C: Capability> Value<C> {
     /// The capability carried by this value, if any.
     fn cap(&self) -> Option<&C> {
         match self {
-            Value::Ptr { v, .. } => Some(&v.cap),
+            Value::Ptr { v } => Some(&v.cap),
             Value::Int { v, .. } => v.as_cap(),
             Value::Float { .. } | Value::Void => None,
         }
@@ -454,7 +465,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             match v {
                 IntVal::Cap { cap, prov, .. } => IntVal::Cap {
                     signed: to.signed(),
-                    cap: cap.clone(),
+                    cap: *cap,
                     prov: *prov,
                 },
                 IntVal::Num(n) => self.mk_int(to, *n),
@@ -516,10 +527,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             Ty::Ptr { .. } => {
                 let v = self.mem.load_ptr(p)?;
-                Ok(Value::Ptr {
-                    ty: ty.clone(),
-                    v,
-                })
+                Ok(Value::Ptr { v })
             }
             t => Err(Stop::Unsupported(format!("load of type {t}"))),
         }
@@ -550,7 +558,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 self.mem.store_int(p, size, &IntVal::Num(i128::from(bits)))?;
                 Ok(())
             }
-            (Ty::Ptr { .. }, Value::Ptr { v, .. }) => {
+            (Ty::Ptr { .. }, Value::Ptr { v }) => {
                 self.mem.store_ptr(p, v)?;
                 Ok(())
             }
@@ -583,7 +591,7 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     pub(crate) fn intern_string(&mut self, s: &str) -> EResult<PtrVal<C>> {
         if let Some(p) = self.strings.get(s) {
-            return Ok(p.clone());
+            return Ok(*p);
         }
         let mut bytes = s.as_bytes().to_vec();
         bytes.push(0);
@@ -595,7 +603,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             true,
             Some(&bytes),
         )?;
-        self.strings.insert(s.to_string(), p.clone());
+        self.strings.insert(s.to_string(), p);
         Ok(p)
     }
 
@@ -672,7 +680,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let align = self.prog.types.align_of(ty);
                 let pretty = name.split('#').next().unwrap_or(name);
                 let p = self.mem.allocate_object(pretty, size, align, false, None)?;
-                frame.to_kill.push(p.clone());
+                frame.to_kill.push(p);
                 if let Some(init) = init {
                     if matches!(init, TInit::List(_) | TInit::Str(_)) {
                         // Aggregates with initialisers: remaining members
@@ -784,7 +792,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let s = self.eval(frame, src)?;
                 let n = self.eval(frame, n)?;
                 let (d, s) = match (d.as_ptr(), s.as_ptr()) {
-                    (Some(d), Some(s)) => (d.clone(), s.clone()),
+                    (Some(d), Some(s)) => (*d, *s),
                     _ => return Err(Stop::Unsupported("OptMemcpy operands".into())),
                 };
                 // A non-integer length is malformed IR, not "copy nothing":
@@ -808,17 +816,17 @@ impl<'p, C: Capability> Interp<'p, C> {
         match &e.kind {
             TExprKind::LvVar(name) => {
                 if let Some((p, ty)) = frame.vars.get(name) {
-                    return Ok((p.clone(), ty.clone()));
+                    return Ok((*p, ty.clone()));
                 }
                 if let Some((p, ty)) = self.globals.get(name) {
-                    return Ok((p.clone(), ty.clone()));
+                    return Ok((*p, ty.clone()));
                 }
                 Err(Stop::Unsupported(format!("unbound variable `{name}`")))
             }
             TExprKind::LvDeref(p) => {
                 let v = self.eval(frame, p)?;
                 match v {
-                    Value::Ptr { v, .. } => Ok((v, e.ty.clone())),
+                    Value::Ptr { v } => Ok((v, e.ty.clone())),
                     Value::Int { v, .. } => {
                         let p = self.mem.cast_int_to_ptr(&v);
                         Ok((p, e.ty.clone()))
@@ -852,19 +860,13 @@ impl<'p, C: Capability> Interp<'p, C> {
             }),
             TExprKind::StrLit(s) => {
                 let p = self.intern_string(s)?;
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             TExprKind::LvVar(_) | TExprKind::LvDeref(_) | TExprKind::LvMember(..) => {
                 // Bare lvalue in value position should not occur (typeck
                 // inserts Load), but evaluate to its address for robustness.
                 let (p, _) = self.eval_lvalue(frame, e)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(e.ty.clone()),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             TExprKind::Load(lv) => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
@@ -873,29 +875,20 @@ impl<'p, C: Capability> Interp<'p, C> {
             TExprKind::AddrOf(lv) => {
                 let (p, _) = self.eval_lvalue(frame, lv)?;
                 let p = self.maybe_narrow_subobject(p, lv, &e.ty);
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             TExprKind::Decay(lv) => {
                 let (p, _) = self.eval_lvalue(frame, lv)?;
                 let p = self.maybe_narrow_subobject(p, lv, &e.ty);
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             TExprKind::FuncAddr(name) => {
                 let p = self
                     .func_ptrs
                     .get(name)
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported(format!("unknown function `{name}`")))?;
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             TExprKind::Binary {
                 op,
@@ -942,10 +935,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     i = -i;
                 }
                 let q = self.mem.array_shift(p, *elem, i as i64)?;
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: q,
-                })
+                Ok(Value::Ptr { v: q })
             }
             TExprKind::PtrDiff { a, b, elem } => {
                 let av = self.eval(frame, a)?;
@@ -964,7 +954,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let av = self.eval(frame, a)?;
                 let bv = self.eval(frame, b)?;
                 let (ap, bp) = match (av.as_ptr(), bv.as_ptr()) {
-                    (Some(a), Some(b)) => (a.clone(), b.clone()),
+                    (Some(a), Some(b)) => (*a, *b),
                     _ => return Err(Stop::Unsupported("pointer comparison operands".into())),
                 };
                 let r = match op {
@@ -1062,7 +1052,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let rv = self.eval(frame, rhs)?;
                 let r = rv
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("compound assignment rhs".into()))?;
                 let res = self.binary_int(
                     *op,
@@ -1082,7 +1072,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             TExprKind::PtrAssignAdd { lv, idx, elem, neg } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
                 let cur = match self.load_value(&p, &ty)? {
-                    Value::Ptr { v, .. } => v,
+                    Value::Ptr { v } => v,
                     _ => return Err(Stop::Unsupported("pointer compound assignment".into())),
                 };
                 let iv = self.eval(frame, idx)?;
@@ -1091,10 +1081,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     i = -i;
                 }
                 let q = self.mem.array_shift(&cur, *elem, i as i64)?;
-                let out = Value::Ptr {
-                    ty: ty.clone(),
-                    v: q,
-                };
+                let out = Value::Ptr { v: q };
                 self.store_value(&p, &ty, &out)?;
                 Ok(out)
             }
@@ -1107,12 +1094,9 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
                 let old = self.load_value(&p, &ty)?;
                 let new = match (&old, *elem) {
-                    (Value::Ptr { ty: pty, v }, elem) if elem > 0 => {
+                    (Value::Ptr { v }, elem) if elem > 0 => {
                         let q = self.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?;
-                        Value::Ptr {
-                            ty: pty.clone(),
-                            v: q,
-                        }
+                        Value::Ptr { v: q }
                     }
                     (Value::Int { ity, v }, _) => {
                         let delta = if *inc { 1 } else { -1 };
@@ -1166,7 +1150,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let from = arg.ty.as_int().expect("int source");
                 let v = av
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("int cast operand".into()))?;
                 Ok(Value::Int {
                     ity: to,
@@ -1177,7 +1161,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let to = e.ty.as_int().expect("int target");
                 let p = av
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
                 let size = types_size(&self.prog.types, &e.ty);
                 let v = self
@@ -1188,13 +1172,10 @@ impl<'p, C: Capability> Interp<'p, C> {
             CastKind::IntToPtr => {
                 let v = av
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
                 let p = self.mem.cast_int_to_ptr(&v);
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             CastKind::IntToFloat => {
                 let fty = e.ty.as_float().expect("float target");
@@ -1233,13 +1214,10 @@ impl<'p, C: Capability> Interp<'p, C> {
             CastKind::PtrToPtr => {
                 let p = av
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
                 // §3.9: const-changing casts are no-ops on the capability.
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
         }
     }
@@ -1256,84 +1234,20 @@ impl<'p, C: Capability> Interp<'p, C> {
             (Some(a), Some(b)) => (a, b),
             _ => return Err(Stop::Unsupported("integer operation on non-integers".into())),
         };
-        let a = lv.value();
-        let b = rv.value();
+        let (a, b) = (lv.value(), rv.value());
+        let n = int_binary(op, ity, a, b)
+            .map_err(|ub| self.ub(ub, int_binary_ub_detail(op, ub, b)))?;
         if op.is_comparison() {
-            // §3.6: address-only comparison for capability-carrying values.
-            let res = match op {
-                BinOp::Eq => a == b,
-                BinOp::Ne => a != b,
-                BinOp::Lt => a < b,
-                BinOp::Le => a <= b,
-                BinOp::Gt => a > b,
-                BinOp::Ge => a >= b,
-                _ => unreachable!("comparison"),
-            };
-            return Ok(Value::Int {
-                ity: IntTy::Int,
-                v: IntVal::Num(i128::from(res)),
-            });
-        }
-        let bits = ity.value_bits();
-        let raw: i128 = match op {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a
-                .checked_mul(b)
-                .ok_or_else(|| self.ub(Ub::SignedOverflow, "multiplication overflow"))?,
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(self.ub(Ub::DivisionByZero, "division by zero"));
-                }
-                if ity.signed() && a == ity.min() && b == -1 {
-                    return Err(self.ub(Ub::SignedOverflow, "INT_MIN / -1"));
-                }
-                a / b
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    return Err(self.ub(Ub::DivisionByZero, "remainder by zero"));
-                }
-                if ity.signed() && a == ity.min() && b == -1 {
-                    return Err(self.ub(Ub::SignedOverflow, "INT_MIN % -1"));
-                }
-                a % b
-            }
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl | BinOp::Shr => {
-                if b < 0 || b >= i128::from(bits) {
-                    return Err(self.ub(Ub::ShiftOutOfRange, format!("shift by {b}")));
-                }
-                if op == BinOp::Shl {
-                    let v = a << b;
-                    if ity.signed() && !ity.fits(v) {
-                        return Err(self.ub(Ub::SignedOverflow, "left shift overflow"));
-                    }
-                    v
-                } else if ity.signed() {
-                    a >> b
-                } else {
-                    ((a as u128 & (u128::MAX >> (128 - bits))) >> b) as i128
-                }
-            }
-            _ => unreachable!("handled above"),
-        };
-        // Signed overflow is UB for +,- too (checked post-hoc on the exact
-        // value); unsigned arithmetic wraps.
-        if ity.signed() && !ity.is_capability() && matches!(op, BinOp::Add | BinOp::Sub) && !ity.fits(raw)
-        {
-            return Err(self.ub(Ub::SignedOverflow, "arithmetic overflow"));
+            return Ok(Value::Int { ity: IntTy::Int, v: IntVal::Num(n) });
         }
         let v = if ity.is_capability() {
             let src = match derive {
                 DeriveFrom::Left => lv,
                 DeriveFrom::Right => rv,
             };
-            self.derive_cap_result(src, ity, raw)
+            self.derive_cap_result(src, ity, n)
         } else {
-            IntVal::Num(ity.wrap(raw))
+            IntVal::Num(n)
         };
         Ok(Value::Int { ity, v })
     }
@@ -1382,7 +1296,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 ity: IntTy::Int,
                 v: IntVal::Num(i128::from(!a.truthy())),
             }),
-            UnOp::Plus => Ok(a.clone()),
+            UnOp::Plus => Ok(*a),
             UnOp::Neg if a.as_float().is_some() => {
                 let v = a.as_float().expect("float");
                 match a {
@@ -1484,7 +1398,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             let pretty = name.split('#').next().unwrap_or(name);
             let p = self.mem.allocate_object(pretty, size, align, false, None)?;
             self.store_value(&p, ty, &v)?;
-            frame.to_kill.push(p.clone());
+            frame.to_kill.push(p);
             frame.vars.insert(name.clone(), (p, ty.clone()));
         }
         let flow = self.exec_block(&mut frame, &f.body);
@@ -1521,17 +1435,14 @@ impl<'p, C: Capability> Interp<'p, C> {
         // Capability argument accessor: pointer or (u)intptr_t.
         let cap_of = |v: &Value<C>| -> EResult<C> {
             v.cap()
-                .cloned()
+                .copied()
                 .ok_or_else(|| Stop::Unsupported("capability argument expected".into()))
         };
         // Rewrap a derived capability at the argument's type (the
         // polymorphic return of §4.5).
         let rewrap = |this: &mut Self, orig: &Value<C>, cap: C| -> Value<C> {
             match orig {
-                Value::Ptr { ty, v } => Value::Ptr {
-                    ty: ty.clone(),
-                    v: PtrVal::new(v.prov, cap),
-                },
+                Value::Ptr { v } => Value::Ptr { v: PtrVal::new(v.prov, cap) },
                 Value::Int { ity, v } => Value::Int {
                     ity: *ity,
                     v: IntVal::Cap {
@@ -1552,7 +1463,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let fmt_ptr = args
                     .get(skip)
                     .and_then(|(v, _)| v.as_ptr())
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("format string expected".into()))?;
                 let fmt = self.read_c_string(&fmt_ptr)?;
                 let rendered = self.format(&fmt, &args[skip + 1..])?;
@@ -1579,10 +1490,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             Malloc => {
                 let n = args[0].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let p = self.mem.allocate_region(n, 16)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             Calloc => {
                 let n = args[0].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
@@ -1592,16 +1500,13 @@ impl<'p, C: Capability> Interp<'p, C> {
                 })?;
                 let p = self.mem.allocate_region(total, 16)?;
                 self.mem.memset(&p, 0, total)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: p,
-                })
+                Ok(Value::Ptr { v: p })
             }
             Free => {
                 let p = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("free of non-pointer".into()))?;
                 self.mem.kill(&p, true)?;
                 Ok(Value::Void)
@@ -1610,46 +1515,37 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let p = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("realloc of non-pointer".into()))?;
                 let n = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let q = self.mem.reallocate(&p, n)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: q,
-                })
+                Ok(Value::Ptr { v: q })
             }
             Memcpy | Memmove => {
-                let d = args[0].0.as_ptr().cloned();
-                let s = args[1].0.as_ptr().cloned();
+                let d = args[0].0.as_ptr().copied();
+                let s = args[1].0.as_ptr().copied();
                 let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let (d, s) = match (d, s) {
                     (Some(d), Some(s)) => (d, s),
                     _ => return Err(Stop::Unsupported("memcpy operands".into())),
                 };
                 self.mem.memcpy(&d, &s, n)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: d,
-                })
+                Ok(Value::Ptr { v: d })
             }
             Memset => {
                 let d = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("memset operand".into()))?;
                 let c = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u8;
                 let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 self.mem.memset(&d, c, n)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: d,
-                })
+                Ok(Value::Ptr { v: d })
             }
             Memcmp => {
-                let a = args[0].0.as_ptr().cloned();
-                let bptr = args[1].0.as_ptr().cloned();
+                let a = args[0].0.as_ptr().copied();
+                let bptr = args[1].0.as_ptr().copied();
                 let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let (a, bp) = match (a, bptr) {
                     (Some(a), Some(b)) => (a, b),
@@ -1662,14 +1558,14 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let p = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("strlen operand".into()))?;
                 let s = self.read_c_string(&p)?;
                 int_result(IntTy::ULong, s.len() as i128)
             }
             Strcmp => {
-                let a = args[0].0.as_ptr().cloned();
-                let bptr = args[1].0.as_ptr().cloned();
+                let a = args[0].0.as_ptr().copied();
+                let bptr = args[1].0.as_ptr().copied();
                 let (a, bp) = match (a, bptr) {
                     (Some(a), Some(b)) => (a, b),
                     _ => return Err(Stop::Unsupported("strcmp operands".into())),
@@ -1683,18 +1579,15 @@ impl<'p, C: Capability> Interp<'p, C> {
                 }))
             }
             Strcpy => {
-                let d = args[0].0.as_ptr().cloned();
-                let s = args[1].0.as_ptr().cloned();
+                let d = args[0].0.as_ptr().copied();
+                let s = args[1].0.as_ptr().copied();
                 let (d, s) = match (d, s) {
                     (Some(d), Some(s)) => (d, s),
                     _ => return Err(Stop::Unsupported("strcpy operands".into())),
                 };
                 let text = self.read_c_string(&s)?;
                 self.mem.memcpy(&d, &s, text.len() as u64 + 1)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Int(IntTy::Char)),
-                    v: d,
-                })
+                Ok(Value::Ptr { v: d })
             }
             PrintCap => {
                 let line = self.render_cap_value(&args[0].0);
@@ -1872,10 +1765,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 } else {
                     C::root().with_perms_and(Perms::code() | Perms::LOAD)
                 };
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: PtrVal::new(Provenance::Empty, cap),
-                })
+                Ok(Value::Ptr { v: PtrVal::new(Provenance::Empty, cap) })
             }
         }
     }
@@ -1901,7 +1791,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     fn render_cap_value(&self, v: &Value<C>) -> String {
         let with_prov = self.profile.mem.abstract_ub;
         let (cap, prov) = match v {
-            Value::Ptr { v, .. } => (Some(&v.cap), v.prov),
+            Value::Ptr { v } => (Some(&v.cap), v.prov),
             Value::Int { v, .. } => match v {
                 IntVal::Cap { cap, prov, .. } => (Some(cap), *prov),
                 IntVal::Num(n) => return format!("{n}"),
@@ -1975,7 +1865,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 Some('p') => {
                     if let Some((v, _)) = next(&mut arg_i) {
                         match v {
-                            Value::Ptr { v, .. } => out.push_str(&format!("{:#x}", v.addr())),
+                            Value::Ptr { v } => out.push_str(&format!("{:#x}", v.addr())),
                             Value::Int { v, .. } => {
                                 out.push_str(&format!("{:#x}", v.value() as u64));
                             }
@@ -2004,7 +1894,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 Some('s') => {
                     if let Some((v, _)) = next(&mut arg_i) {
                         if let Some(p) = v.as_ptr() {
-                            let p = p.clone();
+                            let p = *p;
                             out.push_str(&self.read_c_string(&p)?);
                         }
                     }

@@ -32,7 +32,7 @@
 //! limit exceeded" to terminating, exactly as any VM speedup would.
 
 use crate::ast::{BinOp, UnOp};
-use crate::types::IntTy;
+use crate::types::{int_binary, IntTy};
 
 use super::{Inst, IrFunc, IrProgram, Reg};
 
@@ -504,58 +504,13 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
     compact(func, &keep) || changed
 }
 
-/// Fold a non-capability integer binary operation, replicating
-/// `Interp::binary_int` bit for bit. Returns `None` whenever the runtime
-/// path raises UB (the instruction then stays, so the UB fires at the
-/// same program point with the same message).
+/// Fold a non-capability integer binary operation with the runtime's own
+/// [`int_binary`]. Returns `None` whenever the runtime path raises UB (the
+/// instruction then stays, so the UB fires at the same program point with
+/// the same message).
 fn fold_binary_int(op: BinOp, ity: IntTy, a: i128, b: i128) -> Option<(IntTy, i128)> {
-    if op.is_comparison() {
-        let res = match op {
-            BinOp::Eq => a == b,
-            BinOp::Ne => a != b,
-            BinOp::Lt => a < b,
-            BinOp::Le => a <= b,
-            BinOp::Gt => a > b,
-            _ => a >= b,
-        };
-        return Some((IntTy::Int, i128::from(res)));
-    }
-    let bits = ity.value_bits();
-    let raw: i128 = match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a.checked_mul(b)?, // i128 overflow is runtime UB
-        BinOp::Div | BinOp::Rem => {
-            if b == 0 || (ity.signed() && a == ity.min() && b == -1) {
-                return None; // DivisionByZero / SignedOverflow
-            }
-            if op == BinOp::Div { a / b } else { a % b }
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl | BinOp::Shr => {
-            if b < 0 || b >= i128::from(bits) {
-                return None; // ShiftOutOfRange
-            }
-            if op == BinOp::Shl {
-                let v = a << b;
-                if ity.signed() && !ity.fits(v) {
-                    return None; // SignedOverflow
-                }
-                v
-            } else if ity.signed() {
-                a >> b
-            } else {
-                ((a as u128 & (u128::MAX >> (128 - bits))) >> b) as i128
-            }
-        }
-        _ => return None,
-    };
-    if ity.signed() && matches!(op, BinOp::Add | BinOp::Sub) && !ity.fits(raw) {
-        return None; // SignedOverflow
-    }
-    Some((ity, ity.wrap(raw)))
+    let v = int_binary(op, ity, a, b).ok()?;
+    Some((if op.is_comparison() { IntTy::Int } else { ity }, v))
 }
 
 // ── Pass 3: dead-register elimination ───────────────────────────────────

@@ -21,6 +21,7 @@ use crate::types::{FloatTy, IntTy, Ty};
 use super::{Inst, IrProgram, Reg};
 
 /// A virtual register: either a value or an object location (lvalue).
+#[derive(Clone, Copy)]
 enum RVal<C: Capability> {
     Val(Value<C>),
     Loc(PtrVal<C>),
@@ -58,7 +59,7 @@ pub(crate) fn execute<C: Capability>(it: &mut Interp<'_, C>, ir: &IrProgram) -> 
     let gtab: Vec<PtrVal<C>> = ir
         .globals
         .iter()
-        .map(|n| it.globals.get(n).expect("global allocated").0.clone())
+        .map(|n| it.globals.get(n).expect("global allocated").0)
         .collect();
     let mut frames: Vec<VmFrame<C>> = Vec::new();
     push_frame(it, ir, &mut frames, main, Vec::new(), 0)?;
@@ -115,7 +116,7 @@ fn push_frame<C: Capability>(
             .mem
             .allocate_object(&ir.strs[p.name.0 as usize], p.size, p.align, false, None)?;
         it.store_value(&obj, ty, &v)?;
-        frame.to_kill.push(obj.clone());
+        frame.to_kill.push(obj);
         frame.slots[p.slot as usize] = Some(obj);
     }
     frames.push(frame);
@@ -219,29 +220,19 @@ fn dispatch<C: Capability>(
             Inst::ConstFloat { dst, fty, v } => {
                 frame.regs[*dst as usize] = RVal::Val(Value::Float { fty: *fty, v: *v });
             }
-            Inst::StrLit { dst, s, ty } => {
+            Inst::StrLit { dst, s, .. } => {
                 let p = it.intern_string(&ir.strs[s.0 as usize])?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr { v: p });
             }
-            Inst::FuncAddr { dst, name, ty } => {
+            Inst::FuncAddr { dst, name, .. } => {
                 let nm = &ir.strs[name.0 as usize];
-                let p = it.func_ptrs.get(nm).cloned().ok_or_else(|| {
+                let p = it.func_ptrs.get(nm).copied().ok_or_else(|| {
                     Stop::Unsupported(format!("unknown function `{nm}`"))
                 })?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr { v: p });
             }
             Inst::Move { dst, src } => {
-                let v = match &frame.regs[*src as usize] {
-                    RVal::Val(v) => RVal::Val(v.clone()),
-                    RVal::Loc(p) => RVal::Loc(p.clone()),
-                };
-                frame.regs[*dst as usize] = v;
+                frame.regs[*dst as usize] = frame.regs[*src as usize];
             }
             Inst::BoolOf { dst, src } => {
                 let b = val(frame, *src)?.truthy();
@@ -256,7 +247,7 @@ fn dispatch<C: Capability>(
 
             // ── Locations ───────────────────────────────────────────────
             Inst::SlotLoc { dst, slot, name } => {
-                let p = frame.slots[*slot as usize].clone().ok_or_else(|| {
+                let p = frame.slots[*slot as usize].ok_or_else(|| {
                     Stop::Unsupported(format!(
                         "unbound variable `{}`",
                         ir.strs[name.0 as usize]
@@ -265,11 +256,11 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Loc(p);
             }
             Inst::GlobalLoc { dst, g } => {
-                frame.regs[*dst as usize] = RVal::Loc(gtab[g.0 as usize].clone());
+                frame.regs[*dst as usize] = RVal::Loc(gtab[g.0 as usize]);
             }
             Inst::DerefLoc { dst, src } => {
                 let p = match val(frame, *src)? {
-                    Value::Ptr { v, .. } => v.clone(),
+                    Value::Ptr { v } => *v,
                     Value::Int { v, .. } => it.mem.cast_int_to_ptr(v),
                     Value::Float { .. } | Value::Void => {
                         return Err(Stop::Unsupported("deref of non-pointer".into()))
@@ -298,8 +289,8 @@ fn dispatch<C: Capability>(
                 let v = val(frame, *src)?;
                 it.store_value(p, &ir.types[ty.0 as usize], v)?;
             }
-            Inst::AddrOf { dst, loc: l, ty, narrow } => {
-                let p = loc(frame, *l)?.clone();
+            Inst::AddrOf { dst, loc: l, narrow, .. } => {
+                let p = *loc(frame, *l)?;
                 let p = match narrow {
                     Some(size)
                         if it.profile.subobject_bounds && it.profile.mem.capabilities =>
@@ -308,19 +299,16 @@ fn dispatch<C: Capability>(
                     }
                     _ => p,
                 };
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr { v: p });
             }
             Inst::MemcpyAgg { dst, src, n } => {
-                let d = loc(frame, *dst)?.clone();
-                let s = loc(frame, *src)?.clone();
+                let d = *loc(frame, *dst)?;
+                let s = *loc(frame, *src)?;
                 it.mem.memcpy(&d, &s, *n)?;
             }
             Inst::OptMemcpy { dst, src, n } => {
                 let (d, s) = match (val(frame, *dst)?.as_ptr(), val(frame, *src)?.as_ptr()) {
-                    (Some(d), Some(s)) => (d.clone(), s.clone()),
+                    (Some(d), Some(s)) => (*d, *s),
                     _ => return Err(Stop::Unsupported("OptMemcpy operands".into())),
                 };
                 // Mirror the tree engine: a non-integer length is malformed
@@ -350,7 +338,7 @@ fn dispatch<C: Capability>(
                 let res = it.unary_int(*op, val(frame, *src)?, *ity)?;
                 frame.regs[*dst as usize] = RVal::Val(res);
             }
-            Inst::PtrAdd { dst, ptr, idx, elem, neg, ty } => {
+            Inst::PtrAdd { dst, ptr, idx, elem, neg, .. } => {
                 let q = {
                     let p = val(frame, *ptr)?.as_ptr().ok_or_else(|| {
                         Stop::Unsupported("pointer arithmetic on non-pointer".into())
@@ -361,10 +349,7 @@ fn dispatch<C: Capability>(
                     }
                     it.mem.array_shift(p, *elem, i as i64)?
                 };
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: q,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr { v: q });
             }
             Inst::PtrDiff { dst, a, b, elem } => {
                 let d = {
@@ -387,7 +372,7 @@ fn dispatch<C: Capability>(
                 use crate::ast::BinOp;
                 let r = {
                     let (ap, bp) = match (val(frame, *a)?.as_ptr(), val(frame, *b)?.as_ptr()) {
-                        (Some(a), Some(b)) => (a.clone(), b.clone()),
+                        (Some(a), Some(b)) => (*a, *b),
                         _ => {
                             return Err(Stop::Unsupported(
                                 "pointer comparison operands".into(),
@@ -425,13 +410,13 @@ fn dispatch<C: Capability>(
 
             // ── Compound assignment ─────────────────────────────────────
             Inst::IncDec { dst, loc: l, ty, inc, prefix, elem } => {
-                let p = loc(frame, *l)?.clone();
+                let p = *loc(frame, *l)?;
                 let ty = &ir.types[ty.0 as usize];
                 let old = it.load_value(&p, ty)?;
                 let new = match (&old, *elem) {
-                    (Value::Ptr { ty: pty, v }, elem) if elem > 0 => {
+                    (Value::Ptr { v }, elem) if elem > 0 => {
                         let q = it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?;
-                        Value::Ptr { ty: pty.clone(), v: q }
+                        Value::Ptr { v: q }
                     }
                     (Value::Int { ity, v }, _) => {
                         let delta = if *inc { 1 } else { -1 };
@@ -452,15 +437,15 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Val(if *prefix { new } else { old });
             }
             Inst::AssignOpInt { dst, loc: l, ty, lt, ct, op, derive, cur, rhs } => {
-                let p = loc(frame, *l)?.clone();
+                let p = *loc(frame, *l)?;
                 let curv = val(frame, *cur)?
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("compound assignment load".into()))?;
                 let cur_c = it.convert_int(&curv, *lt, *ct);
                 let r = val(frame, *rhs)?
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("compound assignment rhs".into()))?;
                 let res = it.binary_int(
                     *op,
@@ -480,13 +465,13 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
             Inst::AssignOpFloat { dst, loc: l, ty, common, op, cur, rhs } => {
-                let p = loc(frame, *l)?.clone();
+                let p = *loc(frame, *l)?;
                 let cur_f = match val(frame, *cur)? {
                     Value::Float { v, .. } => *v,
                     Value::Int { v, .. } => v.value() as f64,
                     _ => return Err(Stop::Unsupported("compound float target".into())),
                 };
-                let rv = val(frame, *rhs)?.clone();
+                let rv = *val(frame, *rhs)?;
                 let res = it.binary_float(
                     *op,
                     &Value::Float { fty: *common, v: cur_f },
@@ -517,9 +502,9 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
             Inst::PtrAssignAdd { dst, loc: l, ty, cur, idx, elem, neg } => {
-                let p = loc(frame, *l)?.clone();
+                let p = *loc(frame, *l)?;
                 let curp = match val(frame, *cur)? {
-                    Value::Ptr { v, .. } => v.clone(),
+                    Value::Ptr { v } => *v,
                     _ => {
                         return Err(Stop::Unsupported("pointer compound assignment".into()))
                     }
@@ -530,7 +515,7 @@ fn dispatch<C: Capability>(
                 }
                 let q = it.mem.array_shift(&curp, *elem, i as i64)?;
                 let ty = &ir.types[ty.0 as usize];
-                let out = Value::Ptr { ty: ty.clone(), v: q };
+                let out = Value::Ptr { v: q };
                 it.store_value(&p, ty, &out)?;
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
@@ -541,11 +526,11 @@ fn dispatch<C: Capability>(
             // register: every UB check, conversion and capability
             // derivation is the same `Interp` helper at the same point.
             Inst::RegIncDec { dst, reg, inc, prefix, elem } => {
-                let old = val(frame, *reg)?.clone();
+                let old = *val(frame, *reg)?;
                 let new = match (&old, *elem) {
-                    (Value::Ptr { ty: pty, v }, elem) if elem > 0 => {
+                    (Value::Ptr { v }, elem) if elem > 0 => {
                         let q = it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?;
-                        Value::Ptr { ty: pty.clone(), v: q }
+                        Value::Ptr { v: q }
                     }
                     (Value::Int { ity, v }, _) => {
                         let delta = if *inc { 1 } else { -1 };
@@ -562,18 +547,18 @@ fn dispatch<C: Capability>(
                     }
                     _ => return Err(Stop::Unsupported("increment target".into())),
                 };
-                frame.regs[*reg as usize] = RVal::Val(new.clone());
+                frame.regs[*reg as usize] = RVal::Val(new);
                 frame.regs[*dst as usize] = RVal::Val(if *prefix { new } else { old });
             }
             Inst::RegAssignOpInt { dst, reg, lt, ct, op, derive, cur, rhs } => {
                 let curv = val(frame, *cur)?
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("compound assignment load".into()))?;
                 let cur_c = it.convert_int(&curv, *lt, *ct);
                 let r = val(frame, *rhs)?
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("compound assignment rhs".into()))?;
                 let res = it.binary_int(
                     *op,
@@ -589,7 +574,7 @@ fn dispatch<C: Capability>(
                     }
                 };
                 let out = Value::Int { ity: *lt, v: res_v };
-                frame.regs[*reg as usize] = RVal::Val(out.clone());
+                frame.regs[*reg as usize] = RVal::Val(out);
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
             Inst::RegAssignOpFloat { dst, reg, ty, common, op, cur, rhs } => {
@@ -598,7 +583,7 @@ fn dispatch<C: Capability>(
                     Value::Int { v, .. } => v.value() as f64,
                     _ => return Err(Stop::Unsupported("compound float target".into())),
                 };
-                let rv = val(frame, *rhs)?.clone();
+                let rv = *val(frame, *rhs)?;
                 let res = it.binary_float(
                     *op,
                     &Value::Float { fty: *common, v: cur_f },
@@ -625,12 +610,12 @@ fn dispatch<C: Capability>(
                     }
                     t => return Err(Stop::Unsupported(format!("compound target {t}"))),
                 };
-                frame.regs[*reg as usize] = RVal::Val(out.clone());
+                frame.regs[*reg as usize] = RVal::Val(out);
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
-            Inst::RegPtrAssignAdd { dst, reg, ty, cur, idx, elem, neg } => {
+            Inst::RegPtrAssignAdd { dst, reg, cur, idx, elem, neg, .. } => {
                 let curp = match val(frame, *cur)? {
-                    Value::Ptr { v, .. } => v.clone(),
+                    Value::Ptr { v } => *v,
                     _ => {
                         return Err(Stop::Unsupported("pointer compound assignment".into()))
                     }
@@ -640,9 +625,8 @@ fn dispatch<C: Capability>(
                     i = -i;
                 }
                 let q = it.mem.array_shift(&curp, *elem, i as i64)?;
-                let ty = &ir.types[ty.0 as usize];
-                let out = Value::Ptr { ty: ty.clone(), v: q };
-                frame.regs[*reg as usize] = RVal::Val(out.clone());
+                let out = Value::Ptr { v: q };
+                frame.regs[*reg as usize] = RVal::Val(out);
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
 
@@ -650,7 +634,7 @@ fn dispatch<C: Capability>(
             Inst::IntToInt { dst, src, to } => {
                 let v = val(frame, *src)?
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("int cast operand".into()))?;
                 // `convert_int` ignores the source type.
                 let v = it.convert_int(&v, *to, *to);
@@ -659,33 +643,27 @@ fn dispatch<C: Capability>(
             Inst::PtrToInt { dst, src, to, size } => {
                 let p = val(frame, *src)?
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
                 let v = it
                     .mem
                     .cast_ptr_to_int(&p, to.is_capability(), to.signed(), *size);
                 frame.regs[*dst as usize] = RVal::Val(Value::Int { ity: *to, v });
             }
-            Inst::IntToPtr { dst, src, ty } => {
+            Inst::IntToPtr { dst, src, .. } => {
                 let v = val(frame, *src)?
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
                 let p = it.mem.cast_int_to_ptr(&v);
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr { v: p });
             }
-            Inst::PtrToPtr { dst, src, ty } => {
+            Inst::PtrToPtr { dst, src, .. } => {
                 let p = val(frame, *src)?
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr { v: p });
             }
             Inst::IntToFloat { dst, src, fty } => {
                 let n = val(frame, *src)?
@@ -789,14 +767,14 @@ fn dispatch<C: Capability>(
                 let argv: Vec<(Value<C>, Ty)> = args
                     .iter()
                     .map(|&(r, t)| {
-                        val(frame, r).map(|v| (v.clone(), ir.types[t.0 as usize].clone()))
+                        val(frame, r).map(|v| (*v, ir.types[t.0 as usize].clone()))
                     })
                     .collect::<EResult<_>>()?;
                 let res = it.eval_builtin(*b, argv)?;
                 frame.regs[*dst as usize] = RVal::Val(res);
             }
             Inst::Ret { src } => {
-                let v = val(frame, *src)?.clone();
+                let v = *val(frame, *src)?;
                 return Ok(Xfer::Ret(v));
             }
             Inst::RetVoid => return Ok(Xfer::Ret(Value::Void)),
@@ -814,7 +792,7 @@ fn dispatch<C: Capability>(
                 let p = it
                     .mem
                     .allocate_object(&ir.strs[name.0 as usize], *size, *align, false, None)?;
-                frame.to_kill.push(p.clone());
+                frame.to_kill.push(p);
                 if *zero {
                     it.mem.memset(&p, 0, *size)?;
                 }
@@ -828,11 +806,11 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Loc(q);
             }
             Inst::BindSlot { slot, src } => {
-                let p = loc(frame, *src)?.clone();
+                let p = *loc(frame, *src)?;
                 frame.slots[*slot as usize] = Some(p);
             }
             Inst::InitStr { loc: l, s, elem } => {
-                let p = loc(frame, *l)?.clone();
+                let p = *loc(frame, *l)?;
                 let mut bytes = ir.strs[s.0 as usize].as_bytes().to_vec();
                 bytes.push(0);
                 for (i, b) in bytes.iter().enumerate() {

@@ -1139,3 +1139,147 @@ fn malformed_ptr_cmp_op_errors_instead_of_panicking() {
         other => panic!("expected loud error, got {other}"),
     }
 }
+
+// ── Integer multiplication (ISO C 6.5p5) ──────────────────────────────────
+
+/// Run `src` under the reference profile on the tree engine, the VM and the
+/// VM's fast pipeline, and require `want` from all three.
+fn expect_on_every_engine(src: &str, want: &Outcome) {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    let profile = Profile::cerberus();
+    let mut fast = Profile::cerberus();
+    fast.opt = fast.opt.fast();
+    for (engine, r) in [
+        ("tree", run_with_engine::<MorelloCap>(src, &profile, Engine::Tree)),
+        ("vm", run_with_engine::<MorelloCap>(src, &profile, Engine::Bytecode)),
+        ("vm --fast", run_with::<MorelloCap>(src, &fast)),
+    ] {
+        match (&r.outcome, want) {
+            (Outcome::Ub { ub, .. }, Outcome::Ub { ub: w, .. }) => assert_eq!(ub, w, "{engine}"),
+            (got, w) => assert_eq!(got, w, "{engine}"),
+        }
+    }
+}
+
+fn signed_overflow() -> Outcome {
+    Outcome::Ub { ub: Ub::SignedOverflow, detail: String::new() }
+}
+
+/// Does the peephole-optimised IR of `src` still multiply at run time?
+fn optimised_ir_multiplies(src: &str) -> bool {
+    use crate::ast::BinOp;
+    use crate::ir::Inst;
+    let prog = crate::compile(src, &Profile::cerberus()).unwrap();
+    let ir = crate::ir::lower_opt(&prog);
+    ir.funcs
+        .iter()
+        .flat_map(|f| &f.code)
+        .any(|i| matches!(i, Inst::Binary { op: BinOp::Mul, .. }))
+}
+
+/// `int` products that leave the type are signed overflow (UB), not a
+/// silent wrap: the product used to be checked only against i128.
+#[test]
+fn int_multiplication_overflow_is_ub() {
+    expect_on_every_engine(
+        "int main(void) { int a = 100000; int b = a * a; return b != 0; }",
+        &signed_overflow(),
+    );
+    expect_on_every_engine(
+        "int main(void) { int a = 46340; int b = a * a; return b == 2147395600; }",
+        &Outcome::Exit(1),
+    );
+}
+
+/// The same for `long`, whose products reach past 64 bits.
+#[test]
+fn long_multiplication_overflow_is_ub() {
+    expect_on_every_engine(
+        "int main(void) { long a = 4294967296; long b = a * a; return b != 0; }",
+        &signed_overflow(),
+    );
+    expect_on_every_engine(
+        "int main(void) { long a = -3037000499; long b = a * a; return b == 9223372030926249001; }",
+        &Outcome::Exit(1),
+    );
+}
+
+/// Unsigned products wrap modulo 2^64, even when the exact product does
+/// not fit i128: `~0UL * ~0UL` used to report UB036.
+#[test]
+fn unsigned_long_multiplication_wraps() {
+    expect_on_every_engine(
+        "int main(void) { unsigned long a = ~0UL; unsigned long b = a * a; return (int)b; }",
+        &Outcome::Exit(1),
+    );
+}
+
+/// Constant operands are folded by the peephole with the runtime's own
+/// arithmetic: an overflowing signed product stays in the IR so the UB
+/// fires when it runs, and an unsigned one folds to its wrapped value.
+#[test]
+fn constant_folded_multiplication_matches_runtime() {
+    let signed = "int main(void) { int b = 100000 * 100000; return b != 0; }";
+    assert!(optimised_ir_multiplies(signed), "overflowing product must not fold");
+    expect_on_every_engine(signed, &signed_overflow());
+    let unsigned = "int main(void) { unsigned long b = \
+                    18446744073709551615UL * 18446744073709551615UL; return (int)b; }";
+    assert!(!optimised_ir_multiplies(unsigned), "wrapping product must fold");
+    expect_on_every_engine(unsigned, &Outcome::Exit(1));
+}
+
+// ── Exact counters of the memory access path ──────────────────────────────
+
+/// `bench_pr10`'s dispatch workload: two arithmetic statements per loop
+/// iteration over two locals.
+const DISPATCH_LOOP: &str = r#"
+int main(void) {
+  long s = 0;
+  for (int i = 0; i < 20000; i++) {
+    s += (i * 3) ^ (s & 7);
+    s -= i >> 2;
+  }
+  return s != 0 ? 0 : 1;
+}"#;
+
+/// `bench_pr10`'s churn workload: malloc, fill, sum and free in a loop.
+const CHURN: &str = r#"
+int main(void) {
+  long acc = 0;
+  for (int i = 0; i < 64; i++) {
+    int *p = malloc(128 * sizeof(int));
+    for (int j = 0; j < 128; j++) p[j] = j ^ i;
+    for (int j = 0; j < 128; j++) acc += p[j];
+    free(p);
+  }
+  return acc > 0 ? 0 : 1;
+}"#;
+
+/// The memory counters of the `bench_pr10` kernels under the default and
+/// the fast pipeline, pinned exactly: a faster access path must do the
+/// same loads, stores, allocations and frees, not fewer or more.
+#[test]
+fn kernel_memory_counters_are_pinned() {
+    use cheri_mem::MemStats;
+    let stats = |loads, stores, allocations, representability_checks, frees| MemStats {
+        loads,
+        stores,
+        allocations,
+        representability_checks,
+        frees,
+        ..MemStats::default()
+    };
+    let default = Profile::cerberus();
+    let mut fast = Profile::cerberus();
+    fast.opt = fast.opt.fast();
+    for (name, src, profile, want) in [
+        ("dispatch_loop", DISPATCH_LOOP, &default, stats(140_002, 60_002, 5, 0, 2)),
+        ("dispatch_loop@fast", DISPATCH_LOOP, &fast, stats(0, 0, 3, 0, 0)),
+        ("churn", CHURN, &default, stats(98_626, 33_026, 261, 16_384, 258)),
+        ("churn@fast", CHURN, &fast, stats(8_192, 8_192, 67, 16_384, 64)),
+    ] {
+        let r = run(src, profile);
+        assert_eq!(r.outcome, Outcome::Exit(0), "{name}");
+        assert_eq!(r.mem_stats, want, "{name}");
+    }
+}

@@ -9,6 +9,10 @@
 
 use std::fmt;
 
+use cheri_mem::Ub;
+
+use crate::ast::BinOp;
+
 /// Integer types of the model, including the CHERI C additions
 /// (`(u)intptr_t` as capability-carrying types, `ptraddr_t` as the abstract
 /// address type of §3.10).
@@ -141,18 +145,20 @@ impl IntTy {
     /// arithmetic overflow is UB, handled separately).
     #[must_use]
     pub fn wrap(self, v: i128) -> i128 {
-        let bits = self.value_bits();
-        if bits >= 128 {
-            return v;
-        }
-        if self == IntTy::Bool {
-            return i128::from(v != 0);
-        }
-        let m = v & ((1i128 << bits) - 1);
-        if self.signed() && (m >> (bits - 1)) & 1 == 1 {
-            m - (1i128 << bits)
-        } else {
-            m
+        // Truncating `as` casts are exactly two's-complement wrapping at the
+        // type's `value_bits`, in one instruction instead of i128 shifts.
+        match self {
+            IntTy::Bool => i128::from(v != 0),
+            IntTy::Char | IntTy::SChar => i128::from(v as i8),
+            IntTy::UChar => i128::from(v as u8),
+            IntTy::Short => i128::from(v as i16),
+            IntTy::UShort => i128::from(v as u16),
+            IntTy::Int => i128::from(v as i32),
+            IntTy::UInt => i128::from(v as u32),
+            IntTy::Long | IntTy::LongLong | IntTy::IntPtr => i128::from(v as i64),
+            IntTy::ULong | IntTy::ULongLong | IntTy::UIntPtr | IntTy::PtrAddr => {
+                i128::from(v as u64)
+            }
         }
     }
 
@@ -161,6 +167,102 @@ impl IntTy {
     pub fn fits(self, v: i128) -> bool {
         v >= self.min() && v <= self.max()
     }
+}
+
+/// Integer binary operator `op` on operands `a` and `b` of type `ity`: the
+/// one definition of C integer arithmetic, shared by both engines
+/// (`Interp::binary_int`), the peephole's constant folder and lint.
+///
+/// Comparisons (§3.6: address-only for capability-carrying operands) and
+/// the logical operators yield 0 or 1. Arithmetic yields the result wrapped
+/// into `ity`; a `(u)intptr_t` caller sets that address on the derivation
+/// source's capability. The errors are the UBs of ISO C 6.5.5–6.5.7:
+/// division or remainder by zero, `MIN / -1`, out-of-range shift counts,
+/// and signed overflow of `+`, `-`, `*` and `<<` (unsigned and
+/// capability-carrying `+`, `-`, `*` wrap).
+///
+/// # Errors
+///
+/// [`Ub::DivisionByZero`], [`Ub::ShiftOutOfRange`] or
+/// [`Ub::SignedOverflow`]; [`int_binary_ub_detail`] words the report.
+pub fn int_binary(op: BinOp, ity: IntTy, a: i128, b: i128) -> Result<i128, Ub> {
+    let overflow_is_ub = ity.signed() && !ity.is_capability();
+    let raw = match op {
+        BinOp::Eq => return Ok(i128::from(a == b)),
+        BinOp::Ne => return Ok(i128::from(a != b)),
+        BinOp::Lt => return Ok(i128::from(a < b)),
+        BinOp::Le => return Ok(i128::from(a <= b)),
+        BinOp::Gt => return Ok(i128::from(a > b)),
+        BinOp::Ge => return Ok(i128::from(a >= b)),
+        BinOp::LogAnd => return Ok(i128::from(a != 0 && b != 0)),
+        BinOp::LogOr => return Ok(i128::from(a != 0 || b != 0)),
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => match (i64::try_from(a), i64::try_from(b)) {
+            // Every operand but an unsigned one of 2^63 or more fits i64,
+            // and then one widening multiply gives the exact product.
+            (Ok(x), Ok(y)) => i128::from(x) * i128::from(y),
+            _ => match a.checked_mul(b) {
+                Some(v) => v,
+                None if overflow_is_ub => return Err(Ub::SignedOverflow),
+                None => a.wrapping_mul(b),
+            },
+        },
+        BinOp::Div | BinOp::Rem => {
+            if b == 0 {
+                return Err(Ub::DivisionByZero);
+            }
+            if ity.signed() && a == ity.min() && b == -1 {
+                return Err(Ub::SignedOverflow);
+            }
+            if op == BinOp::Div {
+                a / b
+            } else {
+                a % b
+            }
+        }
+        BinOp::And => a & b,
+        BinOp::Or => a | b,
+        BinOp::Xor => a ^ b,
+        BinOp::Shl | BinOp::Shr => {
+            let bits = ity.value_bits();
+            if b < 0 || b >= i128::from(bits) {
+                return Err(Ub::ShiftOutOfRange);
+            }
+            if op == BinOp::Shl {
+                let v = a << b;
+                if ity.signed() && !ity.fits(v) {
+                    return Err(Ub::SignedOverflow);
+                }
+                v
+            } else if ity.signed() {
+                a >> b
+            } else {
+                ((a as u128 & (u128::MAX >> (128 - bits))) >> b) as i128
+            }
+        }
+    };
+    if overflow_is_ub && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) && !ity.fits(raw) {
+        return Err(Ub::SignedOverflow);
+    }
+    Ok(ity.wrap(raw))
+}
+
+/// The report text for a UB that [`int_binary`] returned for `op` with
+/// right operand `b`.
+#[must_use]
+pub fn int_binary_ub_detail(op: BinOp, ub: Ub, b: i128) -> String {
+    match (ub, op) {
+        (Ub::ShiftOutOfRange, _) => return format!("shift by {b}"),
+        (Ub::DivisionByZero, BinOp::Div) => "division by zero",
+        (Ub::DivisionByZero, _) => "remainder by zero",
+        (_, BinOp::Div) => "INT_MIN / -1",
+        (_, BinOp::Rem) => "INT_MIN % -1",
+        (_, BinOp::Shl) => "left shift overflow",
+        (_, BinOp::Mul) => "multiplication overflow",
+        _ => "arithmetic overflow",
+    }
+    .into()
 }
 
 impl fmt::Display for IntTy {
@@ -563,6 +665,89 @@ mod tests {
             assert!(t.rank() < IntTy::IntPtr.rank(), "{t} must rank below intptr_t");
             assert!(t.rank() < IntTy::UIntPtr.rank());
         }
+    }
+
+    /// The shift-and-mask definition `wrap` replaced, kept as its oracle.
+    fn wrap_by_shifts(ity: IntTy, v: i128) -> i128 {
+        let bits = ity.value_bits();
+        if ity == IntTy::Bool {
+            return i128::from(v != 0);
+        }
+        let m = v & ((1i128 << bits) - 1);
+        if ity.signed() && (m >> (bits - 1)) & 1 == 1 {
+            m - (1i128 << bits)
+        } else {
+            m
+        }
+    }
+
+    const ALL_INT_TYS: [IntTy; 15] = [
+        IntTy::Bool,
+        IntTy::Char,
+        IntTy::SChar,
+        IntTy::UChar,
+        IntTy::Short,
+        IntTy::UShort,
+        IntTy::Int,
+        IntTy::UInt,
+        IntTy::Long,
+        IntTy::ULong,
+        IntTy::LongLong,
+        IntTy::ULongLong,
+        IntTy::IntPtr,
+        IntTy::UIntPtr,
+        IntTy::PtrAddr,
+    ];
+
+    #[test]
+    fn cast_wrap_is_bit_identical_to_shift_wrap() {
+        let mut vals = vec![0i128, 1, -1, i128::MAX, i128::MIN];
+        for bits in [1u32, 7, 8, 15, 16, 31, 32, 63, 64, 65, 100, 126] {
+            let p = 1i128 << bits;
+            vals.extend([p - 1, p, p + 1, -p - 1, -p, -p + 1]);
+        }
+        let mut x: u128 = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C834;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            vals.push(x as i128);
+            vals.push((x as i128) >> (x % 127));
+        }
+        for ity in ALL_INT_TYS {
+            for &v in &vals {
+                assert_eq!(ity.wrap(v), wrap_by_shifts(ity, v), "{ity} wrap({v})");
+            }
+        }
+    }
+
+    #[test]
+    fn multiplication_overflow_follows_signedness() {
+        let m = BinOp::Mul;
+        assert_eq!(
+            int_binary(m, IntTy::Int, 100_000, 100_000),
+            Err(Ub::SignedOverflow)
+        );
+        assert_eq!(int_binary(m, IntTy::Int, 46_340, 46_340), Ok(2_147_395_600));
+        let big = i128::from(i64::MAX);
+        assert_eq!(int_binary(m, IntTy::Long, big, 2), Err(Ub::SignedOverflow));
+        assert_eq!(
+            int_binary(m, IntTy::Long, i128::from(i64::MIN), -1),
+            Err(Ub::SignedOverflow)
+        );
+        // Unsigned products wrap, including operands of 2^63 and more.
+        let umax = i128::from(u64::MAX);
+        assert_eq!(int_binary(m, IntTy::ULong, umax, umax), Ok(1));
+        assert_eq!(
+            int_binary(m, IntTy::UInt, 100_000, 100_000),
+            Ok(1_410_065_408)
+        );
+        // Capability-carrying products wrap; the caller derives the address.
+        assert_eq!(int_binary(m, IntTy::IntPtr, big, 2), Ok(-2));
+        assert_eq!(
+            int_binary_ub_detail(m, Ub::SignedOverflow, 2),
+            "multiplication overflow"
+        );
     }
 
     #[test]

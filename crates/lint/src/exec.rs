@@ -40,7 +40,7 @@ use cheri_core::profile::Profile;
 use cheri_core::tast::{
     Builtin, Callee, CastKind, DeriveFrom, TExpr, TExprKind, TFunc, TInit, TProgram, TStmt,
 };
-use cheri_core::types::{FloatTy, IntTy, Ty, TypeTable};
+use cheri_core::types::{int_binary, int_binary_ub_detail, FloatTy, IntTy, Ty, TypeTable};
 
 use crate::classes::UbClass;
 
@@ -406,7 +406,7 @@ impl<'p, C: Capability> Exec<'p, C> {
             match v {
                 IntVal::Cap { cap, prov, .. } => IntVal::Cap {
                     signed: to.signed(),
-                    cap: cap.clone(),
+                    cap: *cap,
                     prov: *prov,
                 },
                 IntVal::Num(n) => self.mk_int(to, *n),
@@ -520,7 +520,7 @@ impl<'p, C: Capability> Exec<'p, C> {
 
     fn intern_string(&mut self, s: &str) -> EResult<PtrVal<C>> {
         if let Some(p) = self.strings.get(s) {
-            return Ok(p.clone());
+            return Ok(*p);
         }
         let mut bytes = s.as_bytes().to_vec();
         bytes.push(0);
@@ -532,7 +532,7 @@ impl<'p, C: Capability> Exec<'p, C> {
             true,
             Some(&bytes),
         )?;
-        self.strings.insert(s.to_string(), p.clone());
+        self.strings.insert(s.to_string(), p);
         Ok(p)
     }
 
@@ -609,7 +609,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let align = self.prog.types.align_of(ty);
                 let pretty = name.split('#').next().unwrap_or(name);
                 let p = self.mem.allocate_object(pretty, size, align, false, None)?;
-                frame.to_kill.push(p.clone());
+                frame.to_kill.push(p);
                 if let Some(init) = init {
                     if matches!(init, TInit::List(_) | TInit::Str(_)) {
                         self.mem.memset(&p, 0, size)?;
@@ -719,7 +719,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let s = self.eval(frame, src)?;
                 let n = self.eval(frame, n)?;
                 let (d, s) = match (d.as_ptr(), s.as_ptr()) {
-                    (Some(d), Some(s)) => (d.clone(), s.clone()),
+                    (Some(d), Some(s)) => (*d, *s),
                     _ => return Err(Stop::Bail("OptMemcpy operands".into())),
                 };
                 let n = n.as_int().map(IntVal::value).unwrap_or(0) as u64;
@@ -734,10 +734,10 @@ impl<'p, C: Capability> Exec<'p, C> {
         match &e.kind {
             TExprKind::LvVar(name) => {
                 if let Some((p, ty)) = frame.vars.get(name) {
-                    return Ok((p.clone(), ty.clone()));
+                    return Ok((*p, ty.clone()));
                 }
                 if let Some((p, ty)) = self.globals.get(name) {
-                    return Ok((p.clone(), ty.clone()));
+                    return Ok((*p, ty.clone()));
                 }
                 Err(Stop::Bail(format!("unbound variable `{name}`")))
             }
@@ -809,7 +809,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let p = self
                     .func_ptrs
                     .get(name)
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail(format!("unknown function `{name}`")))?;
                 Ok(Value::Ptr {
                     ty: e.ty.clone(),
@@ -888,7 +888,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let bv = self.eval(frame, b)?;
                 self.pos = e.pos;
                 let (ap, bp) = match (av.as_ptr(), bv.as_ptr()) {
-                    (Some(a), Some(b)) => (a.clone(), b.clone()),
+                    (Some(a), Some(b)) => (*a, *b),
                     _ => return Err(Stop::Bail("pointer comparison operands".into())),
                 };
                 let r = match op {
@@ -996,7 +996,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 self.pos = e.pos;
                 let r = rv
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("compound assignment rhs".into()))?;
                 let res = self.binary_int(
                     *op,
@@ -1100,7 +1100,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let from = arg.ty.as_int().unwrap_or(IntTy::Int);
                 let v = av
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("int cast operand".into()))?;
                 if from.is_capability() && !to.is_capability() && v.is_cap() {
                     self.note(
@@ -1118,7 +1118,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let to = e.ty.as_int().unwrap_or(IntTy::Int);
                 let p = av
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("pointer cast operand".into()))?;
                 if !to.is_capability() {
                     self.note(
@@ -1136,7 +1136,7 @@ impl<'p, C: Capability> Exec<'p, C> {
             CastKind::IntToPtr => {
                 let v = av
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("int-to-pointer operand".into()))?;
                 if self.profile.mem.capabilities && !v.is_cap() && v.value() != 0 {
                     self.note(
@@ -1194,7 +1194,7 @@ impl<'p, C: Capability> Exec<'p, C> {
             CastKind::PtrToPtr => {
                 let p = av
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("pointer cast operand".into()))?;
                 Ok(Value::Ptr {
                     ty: e.ty.clone(),
@@ -1216,84 +1216,25 @@ impl<'p, C: Capability> Exec<'p, C> {
             (Some(a), Some(b)) => (a, b),
             _ => return Err(Stop::Bail("integer operation on non-integers".into())),
         };
-        let a = lv.value();
-        let b = rv.value();
+        let (a, b) = (lv.value(), rv.value());
+        // The runtime's own integer arithmetic: the mirror cannot drift on
+        // overflow, division or shift UB.
+        let n = int_binary(op, ity, a, b)
+            .map_err(|ub| self.ub(ub, int_binary_ub_detail(op, ub, b)))?;
         if op.is_comparison() {
-            let res = match op {
-                BinOp::Eq => a == b,
-                BinOp::Ne => a != b,
-                BinOp::Lt => a < b,
-                BinOp::Le => a <= b,
-                BinOp::Gt => a > b,
-                BinOp::Ge => a >= b,
-                _ => return Err(Stop::Bail("comparison".into())),
-            };
             return Ok(Value::Int {
                 ity: IntTy::Int,
-                v: IntVal::Num(i128::from(res)),
+                v: IntVal::Num(n),
             });
-        }
-        let bits = ity.value_bits();
-        let raw: i128 = match op {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a
-                .checked_mul(b)
-                .ok_or_else(|| self.ub(Ub::SignedOverflow, "multiplication overflow"))?,
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(self.ub(Ub::DivisionByZero, "division by zero"));
-                }
-                if ity.signed() && a == ity.min() && b == -1 {
-                    return Err(self.ub(Ub::SignedOverflow, "INT_MIN / -1"));
-                }
-                a / b
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    return Err(self.ub(Ub::DivisionByZero, "remainder by zero"));
-                }
-                if ity.signed() && a == ity.min() && b == -1 {
-                    return Err(self.ub(Ub::SignedOverflow, "INT_MIN % -1"));
-                }
-                a % b
-            }
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl | BinOp::Shr => {
-                if b < 0 || b >= i128::from(bits) {
-                    return Err(self.ub(Ub::ShiftOutOfRange, format!("shift by {b}")));
-                }
-                if op == BinOp::Shl {
-                    let v = a << b;
-                    if ity.signed() && !ity.fits(v) {
-                        return Err(self.ub(Ub::SignedOverflow, "left shift overflow"));
-                    }
-                    v
-                } else if ity.signed() {
-                    a >> b
-                } else {
-                    ((a as u128 & (u128::MAX >> (128 - bits))) >> b) as i128
-                }
-            }
-            _ => return Err(Stop::Bail("binary operator".into())),
-        };
-        if ity.signed()
-            && !ity.is_capability()
-            && matches!(op, BinOp::Add | BinOp::Sub)
-            && !ity.fits(raw)
-        {
-            return Err(self.ub(Ub::SignedOverflow, "arithmetic overflow"));
         }
         let v = if ity.is_capability() {
             let src = match derive {
-                DeriveFrom::Left => lv.clone(),
-                DeriveFrom::Right => rv.clone(),
+                DeriveFrom::Left => lv,
+                DeriveFrom::Right => rv,
             };
-            self.derive_cap_result(&src, ity, raw)
+            self.derive_cap_result(src, ity, n)
         } else {
-            IntVal::Num(ity.wrap(raw))
+            IntVal::Num(n)
         };
         Ok(Value::Int { ity, v })
     }
@@ -1357,7 +1298,7 @@ impl<'p, C: Capability> Exec<'p, C> {
             UnOp::Neg | UnOp::BitNot => {
                 let v = a
                     .as_int()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("unary arithmetic operand".into()))?;
                 let raw = if op == UnOp::Neg {
                     -v.value()
@@ -1450,7 +1391,7 @@ impl<'p, C: Capability> Exec<'p, C> {
             let pretty = name.split('#').next().unwrap_or(name);
             let p = self.mem.allocate_object(pretty, size, align, false, None)?;
             self.store_value(&p, ty, &v)?;
-            frame.to_kill.push(p.clone());
+            frame.to_kill.push(p);
             frame.vars.insert(name.clone(), (p, ty.clone()));
         }
         let flow = self.exec_block(&mut frame, &f.body);
@@ -1479,7 +1420,7 @@ impl<'p, C: Capability> Exec<'p, C> {
         };
         let cap_of = |v: &Value<C>| -> EResult<C> {
             v.cap()
-                .cloned()
+                .copied()
                 .ok_or_else(|| Stop::Bail("capability argument expected".into()))
         };
         let rewrap = |orig: &Value<C>, cap: C| -> Value<C> {
@@ -1505,7 +1446,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let fmt_ptr = args
                     .get(skip)
                     .and_then(|(v, _)| v.as_ptr())
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("format string expected".into()))?;
                 let fmt = self.read_c_string(&fmt_ptr)?;
                 let rendered = self.format(&fmt, &args[skip + 1..])?;
@@ -1554,7 +1495,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let p = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("free of non-pointer".into()))?;
                 self.mem.kill(&p, true)?;
                 Ok(Value::Void)
@@ -1563,7 +1504,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let p = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("realloc of non-pointer".into()))?;
                 let n = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let q = self.mem.reallocate(&p, n)?;
@@ -1573,8 +1514,8 @@ impl<'p, C: Capability> Exec<'p, C> {
                 })
             }
             Memcpy | Memmove => {
-                let d = args[0].0.as_ptr().cloned();
-                let s = args[1].0.as_ptr().cloned();
+                let d = args[0].0.as_ptr().copied();
+                let s = args[1].0.as_ptr().copied();
                 let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let (d, s) = match (d, s) {
                     (Some(d), Some(s)) => (d, s),
@@ -1590,7 +1531,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let d = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("memset operand".into()))?;
                 let c = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u8;
                 let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
@@ -1601,8 +1542,8 @@ impl<'p, C: Capability> Exec<'p, C> {
                 })
             }
             Memcmp => {
-                let a = args[0].0.as_ptr().cloned();
-                let bptr = args[1].0.as_ptr().cloned();
+                let a = args[0].0.as_ptr().copied();
+                let bptr = args[1].0.as_ptr().copied();
                 let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let (a, bp) = match (a, bptr) {
                     (Some(a), Some(b)) => (a, b),
@@ -1615,14 +1556,14 @@ impl<'p, C: Capability> Exec<'p, C> {
                 let p = args[0]
                     .0
                     .as_ptr()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| Stop::Bail("strlen operand".into()))?;
                 let s = self.read_c_string(&p)?;
                 int_result(IntTy::ULong, s.len() as i128)
             }
             Strcmp => {
-                let a = args[0].0.as_ptr().cloned();
-                let bptr = args[1].0.as_ptr().cloned();
+                let a = args[0].0.as_ptr().copied();
+                let bptr = args[1].0.as_ptr().copied();
                 let (a, bp) = match (a, bptr) {
                     (Some(a), Some(b)) => (a, b),
                     _ => return Err(Stop::Bail("strcmp operands".into())),
@@ -1639,8 +1580,8 @@ impl<'p, C: Capability> Exec<'p, C> {
                 )
             }
             Strcpy => {
-                let d = args[0].0.as_ptr().cloned();
-                let s = args[1].0.as_ptr().cloned();
+                let d = args[0].0.as_ptr().copied();
+                let s = args[1].0.as_ptr().copied();
                 let (d, s) = match (d, s) {
                     (Some(d), Some(s)) => (d, s),
                     _ => return Err(Stop::Bail("strcpy operands".into())),
@@ -1921,7 +1862,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                 Some('s') => {
                     if let Some((v, _)) = next(&mut arg_i) {
                         if let Some(p) = v.as_ptr() {
-                            let p = p.clone();
+                            let p = *p;
                             out.push_str(&self.read_c_string(&p)?);
                         }
                     }

@@ -460,6 +460,32 @@ mod tests {
         assert_eq!(r.verdict(UbClass::Provenance), Verdict::Clean);
     }
 
+    /// Lint executes integer arithmetic with the runtime's own function, so
+    /// it agrees with both engines on multiplication: signed overflow is
+    /// UB (constant operands too), unsigned products wrap. The same programs
+    /// are pinned on the engines in `cheri-core`'s tests.
+    #[test]
+    fn multiplication_overflow_matches_the_engines() {
+        for src in [
+            "int main(void) { int a = 100000; int b = a * a; return b != 0; }",
+            "int main(void) { long a = 4294967296; long b = a * a; return b != 0; }",
+            "int main(void) { int b = 100000 * 100000; return b != 0; }",
+        ] {
+            let r = lint(src, &Profile::cerberus()).unwrap();
+            assert_eq!(r.verdict(UbClass::Arithmetic), Verdict::MustUb, "{src}");
+            assert_eq!(r.predicted.as_deref(), Some("UB:UB036_signed_overflow"), "{src}");
+        }
+        for src in [
+            "int main(void) { unsigned long a = ~0UL; unsigned long b = a * a; return (int)b; }",
+            "int main(void) { unsigned long b = \
+             18446744073709551615UL * 18446744073709551615UL; return (int)b; }",
+        ] {
+            let r = lint(src, &Profile::cerberus()).unwrap();
+            assert_eq!(r.overall(), Verdict::Clean, "{src}");
+            assert_eq!(r.predicted.as_deref(), Some("exit(1)"), "{src}");
+        }
+    }
+
     #[test]
     fn report_renders() {
         let src = "int main(void) { int a[2]; a[2] = 1; return 0; }";

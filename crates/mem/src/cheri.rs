@@ -188,6 +188,48 @@ fn alloc_class(kind: AllocKind) -> AllocClass {
     }
 }
 
+/// Invalidate the tagged or ghost-marked slots of `a` at addresses in
+/// `[first, hi)`, `first` being capability-aligned (the flat-store half of
+/// [`CapMeta::invalidate_range`]); returns how many it touched.
+fn invalidate_slots(
+    a: &mut Allocation,
+    first: u64,
+    hi: u64,
+    cb: u64,
+    mode: TagInvalidation,
+) -> usize {
+    let n_slots = a.slots.len() as u64;
+    if n_slots == 0 || hi <= a.first_slot {
+        return 0;
+    }
+    // Slot `k` sits at `first_slot + k*cb`.
+    let k_lo = if first > a.first_slot {
+        (first - a.first_slot).div_ceil(cb)
+    } else {
+        0
+    };
+    let k_hi = (hi - a.first_slot).div_ceil(cb).min(n_slots);
+    let mut affected = 0;
+    for k in k_lo..k_hi {
+        let m = a.slots.get(k as usize);
+        if m.tag || !m.ghost.is_clean() {
+            affected += 1;
+            let new = match mode {
+                TagInvalidation::Ghost => SlotMeta {
+                    tag: m.tag,
+                    ghost: GhostState {
+                        tag_unspecified: true,
+                        bounds_unspecified: m.ghost.bounds_unspecified,
+                    },
+                },
+                TagInvalidation::Clear => SlotMeta::default(),
+            };
+            a.slots.set(k as usize, new);
+        }
+    }
+    affected
+}
+
 /// The memory object model.
 ///
 /// # Example
@@ -952,7 +994,18 @@ impl<C: Capability> CheriMemory<C> {
     /// The full access check: architectural capability checks (tag, ghost
     /// tag, seal, permissions, bounds — the (1†) clauses) followed by the
     /// abstract-machine provenance checks (the (1f)/(1g) clauses).
-    fn check_access(&mut self, p: &PtrVal<C>, size: u64, access: Access) -> MemResult<()> {
+    ///
+    /// On the flat store under abstract UB it returns the `allocations`
+    /// index of the live allocation it proved contains the whole access,
+    /// and the byte and slot helpers then use that allocation directly
+    /// instead of searching the interval index again. Otherwise (hardware
+    /// profiles, the legacy store) it returns `None` and they search.
+    fn check_access(
+        &mut self,
+        p: &PtrVal<C>,
+        size: u64,
+        access: Access,
+    ) -> MemResult<Option<usize>> {
         let addr = p.addr();
         if self.cfg.capabilities {
             let c = &p.cap;
@@ -1031,8 +1084,11 @@ impl<C: Capability> CheriMemory<C> {
                     format!("{} ({})", id, a.prefix),
                 ));
             }
+            // Reserved footprints never overlap, so the interval index
+            // would find this same allocation for every byte of the access.
+            return Ok((!self.cfg.legacy_store).then(|| (id.0 - 1) as usize));
         }
-        Ok(())
+        Ok(None)
     }
 
     // ── Byte-level helpers (the B and C dictionaries) ────────────────────
@@ -1044,7 +1100,9 @@ impl<C: Capability> CheriMemory<C> {
     // land inside one allocation's reserved footprint (capability bounds
     // are confined to it by representability padding), so the segment walks
     // below take the single-allocation fast path in practice; the gap/spill
-    // branches only exist for padded-out-of-allocation capabilities.
+    // branches only exist for padded-out-of-allocation capabilities. A
+    // `hit` argument is the allocation `check_access` already proved holds
+    // the whole access; given one, a helper skips the index walk.
 
     /// Interval-index position of the allocation whose *reserved* footprint
     /// contains `addr`.
@@ -1063,14 +1121,21 @@ impl<C: Capability> CheriMemory<C> {
 
     fn read_bytes(&self, addr: u64, n: u64) -> Vec<AbsByte> {
         let mut out = vec![AbsByte::UNINIT; n as usize];
-        self.read_bytes_into(addr, &mut out);
+        self.read_bytes_into(None, addr, &mut out);
         out
     }
 
     /// [`CheriMemory::read_bytes`] into a caller-provided buffer: the
     /// scalar load path uses a stack buffer to keep `Vec` allocations off
-    /// the per-access hot path.
-    fn read_bytes_into(&self, addr: u64, out: &mut [AbsByte]) {
+    /// the per-access hot path. `hit` is [`CheriMemory::check_access`]'s
+    /// allocation for this access, if it found one.
+    fn read_bytes_into(&self, hit: Option<usize>, addr: u64, out: &mut [AbsByte]) {
+        if let Some(i) = hit {
+            let a = &self.allocations[i];
+            let off = (addr - a.base) as usize;
+            out.copy_from_slice(&a.buf[off..off + out.len()]);
+            return;
+        }
         let n = out.len() as u64;
         if self.cfg.legacy_store {
             for (i, o) in out.iter_mut().enumerate() {
@@ -1110,7 +1175,13 @@ impl<C: Capability> CheriMemory<C> {
     }
 
     /// Write abstract bytes verbatim (provenance and copy indices intact).
-    fn write_abs_bytes(&mut self, addr: u64, data: &[AbsByte]) {
+    fn write_abs_bytes(&mut self, hit: Option<usize>, addr: u64, data: &[AbsByte]) {
+        if let Some(i) = hit {
+            let a = &mut self.allocations[i];
+            let off = (addr - a.base) as usize;
+            a.buf[off..off + data.len()].copy_from_slice(data);
+            return;
+        }
         if self.cfg.legacy_store {
             for (i, b) in data.iter().enumerate() {
                 self.bytes.insert(addr + i as u64, *b);
@@ -1143,12 +1214,16 @@ impl<C: Capability> CheriMemory<C> {
     }
 
     /// Capability-slot metadata at aligned address `addr`.
-    fn slot_get(&self, addr: u64) -> SlotMeta {
+    fn slot_get(&self, hit: Option<usize>, addr: u64) -> SlotMeta {
         if self.cfg.legacy_store {
             return self.caps.get(addr);
         }
         let cb = C::CAP_BYTES as u64;
-        if let Some(a) = self.alloc_at(addr) {
+        let a = match hit {
+            Some(i) => Some(&self.allocations[i]),
+            None => self.alloc_at(addr),
+        };
+        if let Some(a) = a {
             if let Some(k) = a.slot_index(addr, cb) {
                 return a.slots.get(k);
             }
@@ -1157,15 +1232,20 @@ impl<C: Capability> CheriMemory<C> {
     }
 
     /// Record capability-slot metadata at aligned address `addr`.
-    fn slot_set(&mut self, addr: u64, meta: SlotMeta) {
+    fn slot_set(&mut self, hit: Option<usize>, addr: u64, meta: SlotMeta) {
         if self.cfg.legacy_store {
             self.caps.set(addr, meta);
             return;
         }
         let cb = C::CAP_BYTES as u64;
-        if let Some(i) = self.index_pos(addr) {
-            let id = self.index[i].2;
-            let a = self.alloc_mut(id).expect("indexed allocation");
+        let a = match hit {
+            Some(i) => Some(&mut self.allocations[i]),
+            None => {
+                let id = self.index_pos(addr).map(|j| self.index[j].2);
+                id.and_then(|id| self.alloc_mut(id))
+            }
+        };
+        if let Some(a) = a {
             if let Some(k) = a.slot_index(addr, cb) {
                 a.slots.set(k, meta);
                 return;
@@ -1180,13 +1260,13 @@ impl<C: Capability> CheriMemory<C> {
     /// clears in the stats histogram and the emitted event; both storage
     /// modes count affected slots with the same condition, so the counters
     /// are store-mode invariant.
-    fn caps_invalidate(&mut self, lo: u64, hi: u64, reason: TagClearReason) {
+    fn caps_invalidate(&mut self, hit: Option<usize>, lo: u64, hi: u64, reason: TagClearReason) {
         let cb = C::CAP_BYTES as u64;
         let mode = self.cfg.tag_invalidation;
         let affected = if self.cfg.legacy_store {
             self.caps.invalidate_range(lo, hi, cb, mode)
         } else {
-            self.caps_invalidate_flat(lo, hi)
+            self.caps_invalidate_flat(hit, lo, hi)
         };
         if affected > 0 {
             self.stats.tag_clears += affected as u64;
@@ -1201,8 +1281,9 @@ impl<C: Capability> CheriMemory<C> {
 
     /// Flat-store body of [`CheriMemory::caps_invalidate`]; returns the
     /// number of slots affected (same counting rule as
-    /// [`CapMeta::invalidate_range`]).
-    fn caps_invalidate_flat(&mut self, lo: u64, hi: u64) -> usize {
+    /// [`CapMeta::invalidate_range`]). With a `hit` the range lies inside
+    /// that allocation, and no other allocation's slot can overlap it.
+    fn caps_invalidate_flat(&mut self, hit: Option<usize>, lo: u64, hi: u64) -> usize {
         let cb = C::CAP_BYTES as u64;
         let mode = self.cfg.tag_invalidation;
         if hi <= lo {
@@ -1210,39 +1291,16 @@ impl<C: Capability> CheriMemory<C> {
         }
         let mut affected = 0;
         let first = lo & !(cb - 1);
-        let mut pos = self.index.partition_point(|e| e.1 <= first);
-        while pos < self.index.len() && self.index[pos].0 < hi {
-            let id = self.index[pos].2;
-            let a = self.alloc_mut(id).expect("indexed allocation");
-            let n_slots = a.slots.len() as u64;
-            if n_slots > 0 && hi > a.first_slot {
-                // Slot `k` sits at `first_slot + k*cb`; touch those with
-                // address in `[first, hi)`.
-                let k_lo = if first > a.first_slot {
-                    (first - a.first_slot).div_ceil(cb)
-                } else {
-                    0
-                };
-                let k_hi = (hi - a.first_slot).div_ceil(cb).min(n_slots);
-                for k in k_lo..k_hi {
-                    let m = a.slots.get(k as usize);
-                    if m.tag || !m.ghost.is_clean() {
-                        affected += 1;
-                        let new = match mode {
-                            TagInvalidation::Ghost => SlotMeta {
-                                tag: m.tag,
-                                ghost: GhostState {
-                                    tag_unspecified: true,
-                                    bounds_unspecified: m.ghost.bounds_unspecified,
-                                },
-                            },
-                            TagInvalidation::Clear => SlotMeta::default(),
-                        };
-                        a.slots.set(k as usize, new);
-                    }
-                }
+        if let Some(i) = hit {
+            affected += invalidate_slots(&mut self.allocations[i], first, hi, cb, mode);
+        } else {
+            let mut pos = self.index.partition_point(|e| e.1 <= first);
+            while pos < self.index.len() && self.index[pos].0 < hi {
+                let id = self.index[pos].2;
+                let a = self.alloc_mut(id).expect("indexed allocation");
+                affected += invalidate_slots(a, first, hi, cb, mode);
+                pos += 1;
             }
-            pos += 1;
         }
         if !self.spill_caps.is_empty() {
             affected += self.spill_caps.invalidate_range(lo, hi, cb, mode);
@@ -1250,13 +1308,19 @@ impl<C: Capability> CheriMemory<C> {
         affected
     }
 
-    fn write_data_bytes(&mut self, addr: u64, data: &[u8]) {
-        if self.cfg.legacy_store {
+    fn write_data_bytes(&mut self, hit: Option<usize>, addr: u64, data: &[u8]) {
+        let end = addr + data.len() as u64;
+        if let Some(i) = hit {
+            let a = &mut self.allocations[i];
+            let off = (addr - a.base) as usize;
+            for (o, d) in a.buf[off..off + data.len()].iter_mut().zip(data) {
+                *o = AbsByte::data(*d);
+            }
+        } else if self.cfg.legacy_store {
             for (i, b) in data.iter().enumerate() {
                 self.bytes.insert(addr + i as u64, AbsByte::data(*b));
             }
         } else {
-            let end = addr + data.len() as u64;
             let mut cur = addr;
             while cur < end {
                 if let Some(i) = self.index_pos(cur) {
@@ -1282,26 +1346,26 @@ impl<C: Capability> CheriMemory<C> {
                 }
             }
         }
-        self.caps_invalidate(addr, addr + data.len() as u64, TagClearReason::NonCapWrite);
+        self.caps_invalidate(hit, addr, end, TagClearReason::NonCapWrite);
         self.stats.stores += 1;
     }
 
     /// Raw byte copy without checks (used by realloc internally).
     fn copy_bytes_raw(&mut self, src: u64, dst: u64, n: u64) {
         let bytes = self.read_bytes(src, n);
-        self.write_abs_bytes(dst, &bytes);
+        self.write_abs_bytes(None, dst, &bytes);
         // The copy is a (possibly partial) representation write to the
         // destination: any capability whose slot it touches is invalidated…
         let cb = C::CAP_BYTES as u64;
-        self.caps_invalidate(dst, dst + n, TagClearReason::Memcpy);
+        self.caps_invalidate(None, dst, dst + n, TagClearReason::Memcpy);
         // …and then capability-aligned, fully-copied slots get the source
         // metadata transferred (§3.5: memcpy uses capability-sized accesses
         // where possible, preserving tags).
         if src % cb == dst % cb {
             let mut slot = (src + cb - 1) & !(cb - 1);
             while slot + cb <= src + n {
-                let meta = self.slot_get(slot);
-                self.slot_set(dst + (slot - src), meta);
+                let meta = self.slot_get(None, slot);
+                self.slot_set(None, dst + (slot - src), meta);
                 slot += cb;
             }
         }
@@ -1338,17 +1402,17 @@ impl<C: Capability> CheriMemory<C> {
         signed: bool,
         want_intptr: bool,
     ) -> MemResult<IntVal<C>> {
-        self.check_access(p, size, Access::Load)?;
+        let hit = self.check_access(p, size, Access::Load)?;
         let addr = p.addr();
         let mut stack = [AbsByte::UNINIT; SCALAR_BUF];
         let mut heap: Vec<AbsByte>;
         let bytes: &[AbsByte] = if size as usize <= SCALAR_BUF {
             let window = &mut stack[..size as usize];
-            self.read_bytes_into(addr, window);
+            self.read_bytes_into(hit, addr, window);
             window
         } else {
             heap = vec![AbsByte::UNINIT; size as usize];
-            self.read_bytes_into(addr, &mut heap);
+            self.read_bytes_into(hit, addr, &mut heap);
             &heap
         };
         if bytes.iter().any(|b| !b.is_init()) {
@@ -1379,7 +1443,7 @@ impl<C: Capability> CheriMemory<C> {
             let raw = &raw[..size as usize];
             let prov = recover_provenance(bytes);
             let (cap, ghost_extra) = if addr.is_multiple_of(C::CAP_BYTES as u64) {
-                let meta = self.slot_get(addr);
+                let meta = self.slot_get(hit, addr);
                 let cap = C::decode(raw, meta.tag)
                     .ok_or_else(|| MemError::Fail("capability decode".into()))?;
                 (cap.with_ghost(meta.ghost), GhostState::CLEAN)
@@ -1416,14 +1480,14 @@ impl<C: Capability> CheriMemory<C> {
     /// Capability/provenance check failures as for loads, plus
     /// [`Ub::WriteToReadOnly`].
     pub fn store_int(&mut self, p: &PtrVal<C>, size: u64, v: &IntVal<C>) -> MemResult<()> {
-        self.check_access(p, size, Access::Store)?;
+        let hit = self.check_access(p, size, Access::Store)?;
         let addr = p.addr();
         self.emit(|| MemEvent::Store { addr, size });
         match v {
             IntVal::Cap { cap, prov, .. }
                 if self.cfg.capabilities && size == C::CAP_BYTES as u64 =>
             {
-                self.store_cap_bytes(addr, cap, *prov);
+                self.store_cap_bytes(hit, addr, cap, *prov);
                 Ok(())
             }
             _ => {
@@ -1433,10 +1497,10 @@ impl<C: Capability> CheriMemory<C> {
                     for (i, d) in data[..size as usize].iter_mut().enumerate() {
                         *d = (n >> (8 * i)) as u8;
                     }
-                    self.write_data_bytes(addr, &data[..size as usize]);
+                    self.write_data_bytes(hit, addr, &data[..size as usize]);
                 } else {
                     let data: Vec<u8> = (0..size).map(|i| (n >> (8 * i)) as u8).collect();
-                    self.write_data_bytes(addr, &data);
+                    self.write_data_bytes(hit, addr, &data);
                 }
                 Ok(())
             }
@@ -1450,11 +1514,11 @@ impl<C: Capability> CheriMemory<C> {
     /// As for [`CheriMemory::load_int`].
     pub fn load_ptr(&mut self, p: &PtrVal<C>) -> MemResult<PtrVal<C>> {
         let size = self.pointer_bytes() as u64;
-        self.check_access(p, size, Access::Load)?;
+        let hit = self.check_access(p, size, Access::Load)?;
         let addr = p.addr();
         let mut stack = [AbsByte::UNINIT; SCALAR_BUF];
         let bytes = &mut stack[..size as usize];
-        self.read_bytes_into(addr, bytes);
+        self.read_bytes_into(hit, addr, bytes);
         if bytes.iter().any(|b| !b.is_init()) {
             if bytes.iter().any(super::absbyte::AbsByte::is_init) {
                 return Err(MemError::ub(
@@ -1476,7 +1540,7 @@ impl<C: Capability> CheriMemory<C> {
         let prov = recover_provenance(bytes);
         if self.cfg.capabilities {
             let (tag, ghost) = if addr.is_multiple_of(C::CAP_BYTES as u64) {
-                let meta = self.slot_get(addr);
+                let meta = self.slot_get(hit, addr);
                 (meta.tag, meta.ghost)
             } else {
                 (false, GhostState::CLEAN)
@@ -1501,9 +1565,9 @@ impl<C: Capability> CheriMemory<C> {
     /// As for [`CheriMemory::store_int`].
     pub fn store_ptr(&mut self, p: &PtrVal<C>, v: &PtrVal<C>) -> MemResult<()> {
         let size = self.pointer_bytes() as u64;
-        self.check_access(p, size, Access::Store)?;
+        let hit = self.check_access(p, size, Access::Store)?;
         if self.cfg.capabilities {
-            self.store_cap_bytes(p.addr(), &v.cap, v.prov);
+            self.store_cap_bytes(hit, p.addr(), &v.cap, v.prov);
         } else {
             let a = v.addr();
             let addr = p.addr();
@@ -1511,22 +1575,23 @@ impl<C: Capability> CheriMemory<C> {
             for (i, o) in abs[..size as usize].iter_mut().enumerate() {
                 *o = AbsByte::pointer(v.prov, (a >> (8 * i)) as u8, i as u8);
             }
-            self.write_abs_bytes(addr, &abs[..size as usize]);
+            self.write_abs_bytes(hit, addr, &abs[..size as usize]);
             self.stats.stores += 1;
         }
         Ok(())
     }
 
-    fn store_cap_bytes(&mut self, addr: u64, cap: &C, prov: Provenance) {
+    fn store_cap_bytes(&mut self, hit: Option<usize>, addr: u64, cap: &C, prov: Provenance) {
         let enc = cap.encode();
         let cb = C::CAP_BYTES as u64;
         let mut abs = [AbsByte::UNINIT; SCALAR_BUF];
         for (i, o) in abs[..enc.len()].iter_mut().enumerate() {
             *o = AbsByte::pointer(prov, enc[i], i as u8);
         }
-        self.write_abs_bytes(addr, &abs[..enc.len()]);
+        self.write_abs_bytes(hit, addr, &abs[..enc.len()]);
         if addr.is_multiple_of(cb) {
             self.slot_set(
+                hit,
                 addr,
                 SlotMeta {
                     tag: cap.tag(),
@@ -1535,7 +1600,7 @@ impl<C: Capability> CheriMemory<C> {
             );
         } else {
             // Misaligned capability store: the tag cannot be represented.
-            self.caps_invalidate(addr, addr + cb, TagClearReason::MisalignedStore);
+            self.caps_invalidate(hit, addr, addr + cb, TagClearReason::MisalignedStore);
         }
         self.stats.stores += 1;
     }
@@ -1576,9 +1641,9 @@ impl<C: Capability> CheriMemory<C> {
         if n == 0 {
             return Ok(());
         }
-        self.check_access(dst, n, Access::Store)?;
+        let hit = self.check_access(dst, n, Access::Store)?;
         let data = vec![byte; n as usize];
-        self.write_data_bytes(dst.addr(), &data);
+        self.write_data_bytes(hit, dst.addr(), &data);
         Ok(())
     }
 
@@ -1740,7 +1805,7 @@ impl<C: Capability> CheriMemory<C> {
         if to_intptr {
             IntVal::Cap {
                 signed,
-                cap: p.cap.clone(),
+                cap: p.cap,
                 prov: p.prov,
             }
         } else {
@@ -1776,7 +1841,7 @@ impl<C: Capability> CheriMemory<C> {
                     .and_then(|id| self.alloc_ref(id))
                     .is_some_and(|a| a.alive && a.contains_or_one_past(addr));
                 let prov = if live { *prov } else { self.lookup_provenance(addr) };
-                PtrVal::new(prov, cap.clone())
+                PtrVal::new(prov, *cap)
             }
         }
     }
@@ -1798,7 +1863,7 @@ impl<C: Capability> CheriMemory<C> {
         let cap = if self.cfg.capabilities {
             p.cap.with_perms_and(Perms::data_readonly())
         } else {
-            p.cap.clone()
+            p.cap
         };
         Ok(PtrVal::new(p.prov, cap))
     }
@@ -1843,6 +1908,6 @@ impl<C: Capability> CheriMemory<C> {
     /// Direct access to the capability metadata of an aligned slot (tests).
     #[must_use]
     pub fn cap_meta_at(&self, addr: u64) -> SlotMeta {
-        self.slot_get(addr)
+        self.slot_get(None, addr)
     }
 }

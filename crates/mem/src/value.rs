@@ -14,7 +14,7 @@ use crate::Provenance;
 
 /// A pointer value: provenance plus a capability (the `(@i, c)` pairs of the
 /// load rule in §4.3).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PtrVal<C> {
     /// PNVI-ae-udi provenance.
     pub prov: Provenance,
@@ -60,7 +60,7 @@ impl<C: Capability> fmt::Display for PtrVal<C> {
 }
 
 /// An integer value: `ℤ ⊕ (𝔹 × Cap)`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IntVal<C> {
     /// A pure numeric value (arbitrary precision within `i128`).
     Num(i128),
@@ -132,7 +132,7 @@ impl<C: Capability> IntVal<C> {
     pub fn derive_with_address(&self, signed: bool, addr: u64) -> IntVal<C> {
         let (base, prov) = match self {
             IntVal::Num(_) => (C::null(), Provenance::Empty),
-            IntVal::Cap { cap, prov, .. } => (cap.clone(), *prov),
+            IntVal::Cap { cap, prov, .. } => (*cap, *prov),
         };
         IntVal::Cap {
             signed,
