@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::types::Ty;
 
-use super::peephole::{for_each_use, successors, Liveness};
+use super::liveness::{def_of, for_each_use, successors, Liveness};
 use super::{Inst, IrFunc, IrProgram, Reg};
 
 /// Why a local was *not* promoted. The variants follow the escape lattice
@@ -376,7 +376,7 @@ fn transfer(inst: &Inst, pc: usize, state: &mut [Av]) {
         // A frozen location still locates the same object.
         Inst::FreezeLoc { dst, src } => state[*dst as usize] = state[*src as usize],
         _ => {
-            if let Some(d) = super::peephole::def_of(inst) {
+            if let Some(d) = def_of(inst) {
                 state[d as usize] = Av::Bot;
             }
         }
@@ -594,7 +594,7 @@ fn classify_addr_use(func: &IrFunc, pc: usize, dst: Reg) -> Option<WhyNot> {
             | Inst::RetFall => return None,
             _ => {}
         }
-        if super::peephole::def_of(inst) == Some(dst) {
+        if def_of(inst) == Some(dst) {
             return None;
         }
     }

@@ -29,6 +29,7 @@
 //!   frame first, even when unwinding an error.
 
 pub mod escape;
+pub mod liveness;
 pub mod lower;
 pub mod peephole;
 pub mod promote;

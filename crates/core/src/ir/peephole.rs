@@ -23,8 +23,15 @@
 //!   unchanged;
 //! * **dead-register elimination** — deletes pure, infallible defs
 //!   (`ConstInt`, `ConstFloat`, `Move`, `SetVoid`, `GlobalLoc`) whose
-//!   destination is dead, established by a backward liveness fixpoint
-//!   over the instruction-level CFG.
+//!   destination is dead, established by the block-level liveness of
+//!   [`super::liveness`].
+//!
+//! Fusion and dead-register elimination share one [`Liveness`] per round:
+//! fusion marks its deletions without moving any code, the rows are
+//! re-derived over the fused code (`Liveness::refill`; fusion never
+//! changes a block's live-in), and dead-register elimination marks its
+//! deletions in the same pass over the same pcs. One compaction then drops
+//! both. The liveness is solved again only after the code moved.
 //!
 //! The only observable the passes change is the VM step counter, which is
 //! not part of the differential contract (the engines already tick at
@@ -34,7 +41,8 @@
 use crate::ast::{BinOp, UnOp};
 use crate::types::{int_binary, IntTy};
 
-use super::{Inst, IrFunc, IrProgram, Reg};
+use super::liveness::{def_of, Liveness};
+use super::{Inst, IrFunc, IrProgram};
 
 /// Upper bound on optimisation rounds per function. Each round runs every
 /// pass once and rebuilds the code; a round that changes nothing ends the
@@ -45,273 +53,27 @@ const MAX_ROUNDS: usize = 4;
 /// Optimise every function of a lowered program in place.
 pub fn optimize(ir: &mut IrProgram) {
     for f in &mut ir.funcs {
+        // The liveness of `f.code` as it stands, when still valid.
+        let mut lv: Option<Liveness> = None;
         for _ in 0..MAX_ROUNDS {
-            let mut changed = thread_jumps(f);
-            changed |= fuse_pairs(f);
-            changed |= delete_dead(f);
-            if !changed {
+            let threaded = thread_jumps(f);
+            if threaded {
+                lv = None;
+            }
+            let live = lv.get_or_insert_with(|| Liveness::compute(f));
+            let mut keep = vec![true; f.code.len()];
+            let fused = fuse_pairs(f, live, &mut keep);
+            if fused {
+                live.refill(&f.code, &keep);
+            }
+            let dead = delete_dead(f, live, &mut keep);
+            if compact(f, &keep) {
+                lv = None;
+            }
+            if !(threaded | fused | dead) {
                 break;
             }
         }
-    }
-}
-
-// ── Register use/def and the instruction-level CFG ──────────────────────
-
-/// Visit every register an instruction *reads*. For the register-promoted
-/// finishers the promoted register itself is visited as a use even where
-/// the finisher only writes it: the register is the local's storage, and
-/// keeping it live is the conservative (sound) direction for every
-/// consumer of this function.
-pub(crate) fn for_each_use(inst: &Inst, mut f: impl FnMut(Reg)) {
-    match inst {
-        Inst::ConstInt { .. }
-        | Inst::ConstFloat { .. }
-        | Inst::StrLit { .. }
-        | Inst::FuncAddr { .. }
-        | Inst::SetVoid { .. }
-        | Inst::SlotLoc { .. }
-        | Inst::GlobalLoc { .. }
-        | Inst::Jump { .. }
-        | Inst::RetVoid
-        | Inst::RetFall
-        | Inst::AllocLocal { .. }
-        | Inst::Unsupported { .. } => {}
-        Inst::Move { src, .. }
-        | Inst::BoolOf { src, .. }
-        | Inst::DerefLoc { src, .. }
-        | Inst::MemberShift { src, .. }
-        | Inst::Unary { src, .. }
-        | Inst::IntToInt { src, .. }
-        | Inst::PtrToInt { src, .. }
-        | Inst::IntToPtr { src, .. }
-        | Inst::PtrToPtr { src, .. }
-        | Inst::IntToFloat { src, .. }
-        | Inst::FloatToInt { src, .. }
-        | Inst::FloatToFloat { src, .. }
-        | Inst::ToBool { src, .. }
-        | Inst::JumpIfFalse { src, .. }
-        | Inst::JumpIfTrue { src, .. }
-        | Inst::SwitchInt { src, .. }
-        | Inst::Ret { src }
-        | Inst::FreezeLoc { src, .. }
-        | Inst::BindSlot { src, .. } => f(*src),
-        Inst::Load { loc, .. } | Inst::IncDec { loc, .. } | Inst::InitStr { loc, .. } => f(*loc),
-        Inst::Store { loc, src, .. } => {
-            f(*loc);
-            f(*src);
-        }
-        Inst::AddrOf { loc, .. } => f(*loc),
-        Inst::MemcpyAgg { dst, src, .. } => {
-            // Both operands are *reads*: the registers hold the two
-            // locations of the copy.
-            f(*dst);
-            f(*src);
-        }
-        Inst::OptMemcpy { dst, src, n } => {
-            f(*dst);
-            f(*src);
-            f(*n);
-        }
-        Inst::Binary { lhs, rhs, .. } => {
-            f(*lhs);
-            f(*rhs);
-        }
-        Inst::PtrAdd { ptr, idx, .. } => {
-            f(*ptr);
-            f(*idx);
-        }
-        Inst::PtrDiff { a, b, .. } | Inst::PtrCmp { a, b, .. } => {
-            f(*a);
-            f(*b);
-        }
-        Inst::AssignOpInt { loc, cur, rhs, .. } | Inst::AssignOpFloat { loc, cur, rhs, .. } => {
-            f(*loc);
-            f(*cur);
-            f(*rhs);
-        }
-        Inst::PtrAssignAdd { loc, cur, idx, .. } => {
-            f(*loc);
-            f(*cur);
-            f(*idx);
-        }
-        Inst::RegIncDec { reg, .. } => f(*reg),
-        Inst::RegAssignOpInt { reg, cur, rhs, .. }
-        | Inst::RegAssignOpFloat { reg, cur, rhs, .. } => {
-            f(*reg);
-            f(*cur);
-            f(*rhs);
-        }
-        Inst::RegPtrAssignAdd { reg, cur, idx, .. } => {
-            f(*reg);
-            f(*cur);
-            f(*idx);
-        }
-        Inst::CallDirect { args, .. } => {
-            for &r in args {
-                f(r);
-            }
-        }
-        Inst::CallIndirect { callee, args, .. } => {
-            f(*callee);
-            for &r in args {
-                f(r);
-            }
-        }
-        Inst::CallBuiltin { args, .. } => {
-            for &(r, _) in args {
-                f(r);
-            }
-        }
-    }
-}
-
-/// The register an instruction *writes*, if any. The register-promoted
-/// finishers write two registers (`dst` and the promoted `reg`); only
-/// `dst` is reported — a missing kill merely over-approximates liveness,
-/// which is sound for fusion and dead-code decisions.
-pub(crate) fn def_of(inst: &Inst) -> Option<Reg> {
-    match inst {
-        Inst::ConstInt { dst, .. }
-        | Inst::ConstFloat { dst, .. }
-        | Inst::StrLit { dst, .. }
-        | Inst::FuncAddr { dst, .. }
-        | Inst::Move { dst, .. }
-        | Inst::BoolOf { dst, .. }
-        | Inst::SetVoid { dst }
-        | Inst::SlotLoc { dst, .. }
-        | Inst::GlobalLoc { dst, .. }
-        | Inst::DerefLoc { dst, .. }
-        | Inst::MemberShift { dst, .. }
-        | Inst::Load { dst, .. }
-        | Inst::AddrOf { dst, .. }
-        | Inst::Binary { dst, .. }
-        | Inst::Unary { dst, .. }
-        | Inst::PtrAdd { dst, .. }
-        | Inst::PtrDiff { dst, .. }
-        | Inst::PtrCmp { dst, .. }
-        | Inst::IncDec { dst, .. }
-        | Inst::AssignOpInt { dst, .. }
-        | Inst::AssignOpFloat { dst, .. }
-        | Inst::PtrAssignAdd { dst, .. }
-        | Inst::IntToInt { dst, .. }
-        | Inst::PtrToInt { dst, .. }
-        | Inst::IntToPtr { dst, .. }
-        | Inst::PtrToPtr { dst, .. }
-        | Inst::IntToFloat { dst, .. }
-        | Inst::FloatToInt { dst, .. }
-        | Inst::FloatToFloat { dst, .. }
-        | Inst::ToBool { dst, .. }
-        | Inst::CallDirect { dst, .. }
-        | Inst::CallIndirect { dst, .. }
-        | Inst::CallBuiltin { dst, .. }
-        | Inst::AllocLocal { dst, .. }
-        | Inst::FreezeLoc { dst, .. }
-        | Inst::RegIncDec { dst, .. }
-        | Inst::RegAssignOpInt { dst, .. }
-        | Inst::RegAssignOpFloat { dst, .. }
-        | Inst::RegPtrAssignAdd { dst, .. } => Some(*dst),
-        Inst::Store { .. }
-        | Inst::MemcpyAgg { .. }
-        | Inst::OptMemcpy { .. }
-        | Inst::Jump { .. }
-        | Inst::JumpIfFalse { .. }
-        | Inst::JumpIfTrue { .. }
-        | Inst::SwitchInt { .. }
-        | Inst::Ret { .. }
-        | Inst::RetVoid
-        | Inst::RetFall
-        | Inst::BindSlot { .. }
-        | Inst::InitStr { .. }
-        | Inst::Unsupported { .. } => None,
-    }
-}
-
-/// Successor pcs of the instruction at `pc`. Error exits are not edges:
-/// no register value is observable past an error (the unwinder only runs
-/// kills), so liveness may ignore them.
-pub(crate) fn successors(code: &[Inst], pc: usize, mut f: impl FnMut(usize)) {
-    match &code[pc] {
-        Inst::Jump { target } => f(*target as usize),
-        Inst::JumpIfFalse { target, .. } | Inst::JumpIfTrue { target, .. } => {
-            f(pc + 1);
-            f(*target as usize);
-        }
-        Inst::SwitchInt { cases, end, .. } => {
-            for (_, t) in &**cases {
-                f(*t as usize);
-            }
-            f(*end as usize);
-        }
-        Inst::Ret { .. } | Inst::RetVoid | Inst::RetFall | Inst::Unsupported { .. } => {}
-        _ => {
-            if pc + 1 < code.len() {
-                f(pc + 1);
-            }
-        }
-    }
-}
-
-/// Per-pc register liveness, as a dense bitset matrix. `live_after(pc)`
-/// is the set of registers whose current value may still be read on some
-/// path out of `pc` — the condition under which a def at `pc` (or an
-/// intermediate of a fused pair ending at `pc`) is unobservable.
-pub(crate) struct Liveness {
-    words: usize,
-    /// `live_in` per pc, backward-fixpoint result.
-    live_in: Vec<u64>,
-    n: usize,
-}
-
-impl Liveness {
-    pub(crate) fn compute(func: &IrFunc) -> Liveness {
-        let n = func.code.len();
-        let words = (func.n_regs as usize).div_ceil(64).max(1);
-        let mut lv = Liveness { words, live_in: vec![0u64; n * words], n };
-        // Iterate backward to a fixpoint. Code is mostly forward-branching,
-        // so sweeping high→low pcs converges in one pass per loop nest.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for pc in (0..n).rev() {
-                let mut out = vec![0u64; words];
-                successors(&func.code, pc, |s| {
-                    if s < lv.n {
-                        for (w, o) in out.iter_mut().enumerate() {
-                            *o |= lv.live_in[s * words + w];
-                        }
-                    }
-                });
-                if let Some(d) = def_of(&func.code[pc]) {
-                    out[d as usize / 64] &= !(1u64 << (d % 64));
-                }
-                for_each_use(&func.code[pc], |r| {
-                    out[r as usize / 64] |= 1u64 << (r % 64);
-                });
-                let row = &mut lv.live_in[pc * words..(pc + 1) * words];
-                if row != &out[..] {
-                    row.copy_from_slice(&out);
-                    changed = true;
-                }
-            }
-        }
-        lv
-    }
-
-    /// Is `r`'s value possibly read on some path *from* `pc` (inclusive)?
-    pub(crate) fn is_live_in(&self, pc: usize, r: Reg) -> bool {
-        self.live_in[pc * self.words + r as usize / 64] >> (r % 64) & 1 != 0
-    }
-
-    /// Is `r`'s value possibly read on some path *out of* `pc`?
-    pub(crate) fn live_after(&self, func: &IrFunc, pc: usize, r: Reg) -> bool {
-        let mut live = false;
-        successors(&func.code, pc, |s| {
-            if s < self.n {
-                live |= self.live_in[s * self.words + r as usize / 64] >> (r % 64) & 1 != 0;
-            }
-        });
-        live
     }
 }
 
@@ -321,11 +83,21 @@ impl Liveness {
 /// followed with a hop bound as the cycle guard) and delete jumps to the
 /// next instruction. Skipping a `Jump` skips only a `tick()`.
 fn thread_jumps(func: &mut IrFunc) -> bool {
-    let code_ref = func.code.clone();
+    // Each pc's unconditional jump target (`NO_JUMP` for any other
+    // instruction), as the code stands on entry.
+    const NO_JUMP: u32 = u32::MAX;
+    let jump_to: Vec<u32> = func
+        .code
+        .iter()
+        .map(|inst| match inst {
+            Inst::Jump { target } => *target,
+            _ => NO_JUMP,
+        })
+        .collect();
     let thread = |mut t: u32| -> u32 {
         for _ in 0..8 {
-            match code_ref.get(t as usize) {
-                Some(Inst::Jump { target }) if *target != t => t = *target,
+            match jump_to.get(t as usize) {
+                Some(&next) if next != NO_JUMP && next != t => t = next,
                 _ => break,
             }
         }
@@ -376,16 +148,21 @@ fn thread_jumps(func: &mut IrFunc) -> bool {
 /// the consumer's pc not to be a jump target (so all paths through the
 /// consumer run the producer first) and the producer's result to be dead
 /// after the consumer (liveness), making the intermediate unobservable.
+///
+/// Marks the deleted producers in `keep` rather than compacting, and
+/// decides every rewrite on `lv`, the liveness of the code on entry.
 #[allow(clippy::too_many_lines)]
-fn fuse_pairs(func: &mut IrFunc) -> bool {
+fn fuse_pairs(func: &mut IrFunc, lv: &Liveness, keep: &mut [bool]) -> bool {
     if func.code.is_empty() {
         return false;
     }
-    let lv = Liveness::compute(func);
     // Jump targets are always block starts (a lowering invariant `link`
     // preserves), so the block table is the complete set of join points.
-    let is_join = |pc: usize| func.block_pc.binary_search(&(pc as u32)).is_ok();
-    let mut keep = vec![true; func.code.len()];
+    let mut join = vec![false; func.code.len() + 1];
+    for &b in &func.block_pc {
+        join[b as usize] = true;
+    }
+    let is_join = |pc: usize| join[pc];
     let mut changed = false;
     for pc in 0..func.code.len() - 1 {
         if !keep[pc] || is_join(pc + 1) {
@@ -399,7 +176,7 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
             (
                 Inst::BoolOf { dst: d, src: s } | Inst::ToBool { dst: d, src: s },
                 Inst::JumpIfFalse { src: js, target } | Inst::JumpIfTrue { src: js, target },
-            ) if *js == *d && !lv.live_after(func, pc + 1, *d) => {
+            ) if *js == *d && !lv.live_after(&func.code, pc + 1, *d) => {
                 let (s, target) = (*s, *target);
                 let neg = matches!(func.code[pc + 1], Inst::JumpIfFalse { .. });
                 func.code[pc + 1] = if neg {
@@ -420,7 +197,7 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
             (
                 Inst::MemberShift { dst: d1, src: s, off: a },
                 Inst::MemberShift { dst: d2, src: s2, off: b },
-            ) if *s2 == *d1 && *s != *d1 && !lv.live_after(func, pc + 1, *d1) => {
+            ) if *s2 == *d1 && *s != *d1 && !lv.live_after(&func.code, pc + 1, *d1) => {
                 if let Some(off) = a.checked_add(*b) {
                     func.code[pc + 1] = Inst::MemberShift { dst: *d2, src: *s, off };
                     keep[pc] = false;
@@ -436,7 +213,7 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
             ) if *src == *d1
                 && !ity.is_capability()
                 && !to.is_capability()
-                && !lv.live_after(func, pc + 1, *d1) =>
+                && !lv.live_after(&func.code, pc + 1, *d1) =>
             {
                 let folded = to.wrap(ity.wrap(*v));
                 func.code[pc + 1] = Inst::ConstInt { dst: *d2, ity: *to, v: folded };
@@ -451,7 +228,7 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
             ) if *src == *d1
                 && !sity.is_capability()
                 && !ity.is_capability()
-                && !lv.live_after(func, pc + 1, *d1) =>
+                && !lv.live_after(&func.code, pc + 1, *d1) =>
             {
                 let a = sity.wrap(*v);
                 let folded = match op {
@@ -489,10 +266,10 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
                         let (dst, r1, r2) = (*dst, *r1, *r2);
                         func.code[pc + 2] = Inst::ConstInt { dst, ity: rty, v: rv };
                         // The operand defs go too, if now unobservable.
-                        if !lv.live_after(func, pc + 2, r1) {
+                        if !lv.live_after(&func.code, pc + 2, r1) {
                             keep[pc] = false;
                         }
-                        if !lv.live_after(func, pc + 2, r2) {
+                        if !lv.live_after(&func.code, pc + 2, r2) {
                             keep[pc + 1] = false;
                         }
                         changed = true;
@@ -501,7 +278,7 @@ fn fuse_pairs(func: &mut IrFunc) -> bool {
             }
         }
     }
-    compact(func, &keep) || changed
+    changed
 }
 
 /// Fold a non-capability integer binary operation with the runtime's own
@@ -515,36 +292,32 @@ fn fold_binary_int(op: BinOp, ity: IntTy, a: i128, b: i128) -> Option<(IntTy, i1
 
 // ── Pass 3: dead-register elimination ───────────────────────────────────
 
-/// Delete pure, infallible, event-free defs whose destination is dead.
-/// Fallible producers (`SlotLoc`, `Load`, `BoolOf`, …) and event sources
-/// (`StrLit` interns) must stay even when dead: their error or event is
-/// the observable.
-fn delete_dead(func: &mut IrFunc) -> bool {
-    if func.code.is_empty() {
-        return false;
-    }
-    let lv = Liveness::compute(func);
-    let keep: Vec<bool> = func
-        .code
-        .iter()
-        .enumerate()
-        .map(|(pc, inst)| {
-            let deletable = matches!(
-                inst,
-                Inst::ConstInt { .. }
-                    | Inst::ConstFloat { .. }
-                    | Inst::Move { .. }
-                    | Inst::SetVoid { .. }
-                    | Inst::GlobalLoc { .. }
-            );
-            if !deletable {
-                return true;
-            }
+/// Mark for deletion the pure, infallible, event-free defs whose
+/// destination is dead. Fallible producers (`SlotLoc`, `Load`, `BoolOf`,
+/// …) and event sources (`StrLit` interns) must stay even when dead: their
+/// error or event is the observable. Runs on the code fusion left behind,
+/// with fusion's deletions still marked in `keep` and `lv` refilled for
+/// them, so every decision equals the one on the compacted code.
+fn delete_dead(func: &IrFunc, lv: &Liveness, keep: &mut [bool]) -> bool {
+    let mut changed = false;
+    for (pc, inst) in func.code.iter().enumerate() {
+        let deletable = matches!(
+            inst,
+            Inst::ConstInt { .. }
+                | Inst::ConstFloat { .. }
+                | Inst::Move { .. }
+                | Inst::SetVoid { .. }
+                | Inst::GlobalLoc { .. }
+        );
+        if keep[pc] && deletable {
             let dst = def_of(inst).expect("deletable insts all define");
-            lv.live_after(func, pc, dst)
-        })
-        .collect();
-    compact(func, &keep)
+            if !lv.live_after(&func.code, pc, dst) {
+                keep[pc] = false;
+                changed = true;
+            }
+        }
+    }
+    changed
 }
 
 // ── Code compaction ─────────────────────────────────────────────────────
@@ -567,26 +340,25 @@ pub(crate) fn compact(func: &mut IrFunc, keep: &[bool]) -> bool {
         n += u32::from(k);
     }
     new_pc.push(n);
-    let old = std::mem::take(&mut func.code);
-    for (inst, &k) in old.into_iter().zip(keep) {
-        if !k {
-            continue;
-        }
-        let mut inst = inst;
-        match &mut inst {
-            Inst::Jump { target }
-            | Inst::JumpIfFalse { target, .. }
-            | Inst::JumpIfTrue { target, .. } => *target = new_pc[*target as usize],
-            Inst::SwitchInt { cases, end, .. } => {
-                for (_, t) in cases.iter_mut() {
-                    *t = new_pc[*t as usize];
+    let mut kept = keep.iter();
+    func.code.retain_mut(|inst| {
+        let k = *kept.next().expect("one keep flag per instruction");
+        if k {
+            match inst {
+                Inst::Jump { target }
+                | Inst::JumpIfFalse { target, .. }
+                | Inst::JumpIfTrue { target, .. } => *target = new_pc[*target as usize],
+                Inst::SwitchInt { cases, end, .. } => {
+                    for (_, t) in cases.iter_mut() {
+                        *t = new_pc[*t as usize];
+                    }
+                    *end = new_pc[*end as usize];
                 }
-                *end = new_pc[*end as usize];
+                _ => {}
             }
-            _ => {}
         }
-        func.code.push(inst);
-    }
+        k
+    });
     for pc in &mut func.block_pc {
         *pc = new_pc[*pc as usize];
     }
@@ -596,6 +368,7 @@ pub(crate) fn compact(func: &mut IrFunc, keep: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::Reg;
     use crate::tast::DeriveFrom;
     use crate::types::Ty;
     use crate::ir::TyId;
@@ -777,28 +550,5 @@ mod tests {
         // The jump-to-next is gone; the conditional jump lands on RetVoid.
         assert!(matches!(code[0], Inst::JumpIfTrue { target, .. }
             if matches!(code[target as usize], Inst::RetVoid)), "{code:?}");
-    }
-
-    /// Optimising twice changes nothing: the rounds loop reached a real
-    /// fixpoint, not an oscillation.
-    #[test]
-    fn optimization_is_idempotent_on_lowered_programs() {
-        let src = "
-            struct in { int x; int y; };
-            struct out { int pad; struct in i; };
-            int pick(int c) { if (c > 0) return c; else return -c; }
-            int main(void) {
-              struct out s;
-              s.i.y = 6;
-              int t = 0;
-              for (int k = 0; k < 4; k++) t += pick(k - 2);
-              return t + s.i.y;
-            }";
-        let prog = crate::compile(src, &crate::Profile::cerberus()).expect("compiles");
-        let mut once = super::super::lower(&prog);
-        optimize(&mut once);
-        let mut twice = once.clone();
-        optimize(&mut twice);
-        assert_eq!(once.render(), twice.render());
     }
 }

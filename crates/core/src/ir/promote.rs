@@ -169,7 +169,7 @@ fn promote_func(func: &mut IrFunc, a: &FuncAnalysis) {
         if !kept {
             continue;
         }
-        super::peephole::for_each_use(inst, |r| {
+        super::liveness::for_each_use(inst, |r| {
             if (r as usize) < func.n_regs as usize {
                 debug_assert!(
                     promoted_loc(pc, r).is_none(),

@@ -221,6 +221,13 @@ impl Lexer<'_> {
     }
 
     fn lex_number(&mut self) -> Result<Tok, LexError> {
+        let start = self.pos();
+        // C11 6.4.4p2: an integer constant's value must be representable
+        // in its type, and no type is wider than `unsigned long long`.
+        let too_large = || LexError {
+            msg: "integer literal is too large for any integer type (C11 6.4.4p2)".into(),
+            pos: start,
+        };
         let mut value: u128 = 0;
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x' | b'X')) {
             self.bump();
@@ -236,10 +243,7 @@ impl Lexer<'_> {
                 value = value
                     .checked_mul(16)
                     .and_then(|v| v.checked_add(u128::from(d)))
-                    .ok_or_else(|| LexError {
-                        msg: "integer literal overflow".into(),
-                        pos: self.pos(),
-                    })?;
+                    .ok_or_else(too_large)?;
                 any = true;
                 self.bump();
             }
@@ -260,10 +264,7 @@ impl Lexer<'_> {
                 value = value
                     .checked_mul(radix)
                     .and_then(|v| v.checked_add(u128::from(d)))
-                    .ok_or_else(|| LexError {
-                        msg: "integer literal overflow".into(),
-                        pos: self.pos(),
-                    })?;
+                    .ok_or_else(too_large)?;
                 self.bump();
             }
         }
@@ -325,6 +326,9 @@ impl Lexer<'_> {
                 }
                 _ => break,
             }
+        }
+        if value > u128::from(u64::MAX) {
+            return Err(too_large());
         }
         Ok(Tok::IntLit {
             value,

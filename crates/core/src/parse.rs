@@ -83,6 +83,10 @@ struct Parser {
     typedefs: HashMap<String, Ty>,
     struct_tags: HashMap<String, StructId>,
     enum_consts: HashMap<String, i64>,
+    /// The structs and unions whose bodies are being parsed, innermost
+    /// last: the only incomplete aggregates (tags must be defined before
+    /// use, so there are no forward declarations).
+    open_structs: Vec<StructId>,
 }
 
 /// A parsed declarator: the name (empty for abstract declarators) and a
@@ -127,6 +131,7 @@ impl Parser {
             typedefs,
             struct_tags: HashMap::new(),
             enum_consts: HashMap::new(),
+            open_structs: Vec::new(),
         }
     }
 
@@ -335,12 +340,23 @@ impl Parser {
             if let Some(tag) = &tag {
                 self.struct_tags.insert(tag.clone(), id);
             }
+            self.open_structs.push(id);
             let mut members = Vec::new();
             while !self.eat_punct("}") {
                 let (base, _c, _, _) = self.decl_specifiers()?;
                 loop {
+                    let pos = self.pos();
                     let d = self.declarator()?;
                     let ty = (d.wrap)(base.clone());
+                    if let Some(what) = self.incomplete(&ty) {
+                        return Err(ParseError {
+                            msg: format!(
+                                "member `{}` has incomplete type {what} (C11 6.7.2.1p3)",
+                                d.name
+                            ),
+                            pos,
+                        });
+                    }
                     members.push((d.name, ty));
                     if !self.eat_punct(",") {
                         break;
@@ -348,6 +364,7 @@ impl Parser {
                 }
                 self.expect_punct(";")?;
             }
+            self.open_structs.pop();
             self.types.complete_struct(id, is_union, members);
             Ok(if is_union { Ty::Union(id) } else { Ty::Struct(id) })
         } else if let Some(tag) = tag {
@@ -357,6 +374,21 @@ impl Parser {
             }
         } else {
             self.err("expected struct body or tag")
+        }
+    }
+
+    /// Names the incomplete object type `ty` is or has as its element
+    /// type: `void`, or a struct or union whose body is still open. A
+    /// struct member must not have one (C11 6.7.2.1p3).
+    fn incomplete(&self, ty: &Ty) -> Option<String> {
+        match ty {
+            Ty::Void => Some("`void`".into()),
+            Ty::Array(elem, _) => self.incomplete(elem),
+            Ty::Struct(id) | Ty::Union(id) if self.open_structs.contains(id) => {
+                let kind = if matches!(ty, Ty::Union(_)) { "union" } else { "struct" };
+                Some(format!("`{kind} {}`", self.types.structs[id.0].name))
+            }
+            _ => None,
         }
     }
 
