@@ -94,12 +94,61 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-const PUNCTS: &[&str] = &[
-    // Three-char first, then two-char, then one-char: longest match wins.
-    "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=",
-    "-=", "*=", "/=", "%=", "&=", "|=", "^=", "(", ")", "[", "]", "{", "}", ";", ",", ".", "+",
-    "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=", "?", ":",
-];
+/// The punctuator at the start of `rest`, by the longest match (C11
+/// 6.4.6p1, restricted to the subset's punctuators): a `match` on the
+/// leading bytes, so a one-character punctuator costs one dispatch.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let (c, c1, c2) = (*rest.first()?, rest.get(1).copied(), rest.get(2).copied());
+    Some(match (c, c1, c2) {
+        (b'<', Some(b'<'), Some(b'=')) => "<<=",
+        (b'<', Some(b'<'), _) => "<<",
+        (b'<', Some(b'='), _) => "<=",
+        (b'<', ..) => "<",
+        (b'>', Some(b'>'), Some(b'=')) => ">>=",
+        (b'>', Some(b'>'), _) => ">>",
+        (b'>', Some(b'='), _) => ">=",
+        (b'>', ..) => ">",
+        (b'.', Some(b'.'), Some(b'.')) => "...",
+        (b'.', ..) => ".",
+        (b'-', Some(b'>'), _) => "->",
+        (b'-', Some(b'-'), _) => "--",
+        (b'-', Some(b'='), _) => "-=",
+        (b'-', ..) => "-",
+        (b'+', Some(b'+'), _) => "++",
+        (b'+', Some(b'='), _) => "+=",
+        (b'+', ..) => "+",
+        (b'&', Some(b'&'), _) => "&&",
+        (b'&', Some(b'='), _) => "&=",
+        (b'&', ..) => "&",
+        (b'|', Some(b'|'), _) => "||",
+        (b'|', Some(b'='), _) => "|=",
+        (b'|', ..) => "|",
+        (b'=', Some(b'='), _) => "==",
+        (b'=', ..) => "=",
+        (b'!', Some(b'='), _) => "!=",
+        (b'!', ..) => "!",
+        (b'*', Some(b'='), _) => "*=",
+        (b'*', ..) => "*",
+        (b'/', Some(b'='), _) => "/=",
+        (b'/', ..) => "/",
+        (b'%', Some(b'='), _) => "%=",
+        (b'%', ..) => "%",
+        (b'^', Some(b'='), _) => "^=",
+        (b'^', ..) => "^",
+        (b'(', ..) => "(",
+        (b')', ..) => ")",
+        (b'[', ..) => "[",
+        (b']', ..) => "]",
+        (b'{', ..) => "{",
+        (b'}', ..) => "}",
+        (b';', ..) => ";",
+        (b',', ..) => ",",
+        (b'~', ..) => "~",
+        (b'?', ..) => "?",
+        (b':', ..) => ":",
+        _ => return None,
+    })
+}
 
 struct Lexer<'s> {
     src: &'s [u8],
@@ -337,31 +386,68 @@ impl Lexer<'_> {
         })
     }
 
-    fn lex_escape(&mut self) -> Result<u8, LexError> {
-        match self.bump() {
-            Some(b'n') => Ok(b'\n'),
-            Some(b't') => Ok(b'\t'),
-            Some(b'r') => Ok(b'\r'),
-            Some(b'0') => Ok(0),
-            Some(b'\\') => Ok(b'\\'),
-            Some(b'\'') => Ok(b'\''),
-            Some(b'"') => Ok(b'"'),
-            Some(b'x') => {
-                let mut v: u32 = 0;
-                while let Some(c) = self.peek() {
-                    let d = match c {
-                        b'0'..=b'9' => c - b'0',
-                        b'a'..=b'f' => c - b'a' + 10,
-                        b'A'..=b'F' => c - b'A' + 10,
+    /// An escape sequence (C11 6.4.4.4), the backslash at `at` already
+    /// consumed. Octal escapes take one to three digits and hexadecimal
+    /// ones any number; the value of either must fit `unsigned char`
+    /// (6.4.4.4p9).
+    fn lex_escape(&mut self, at: Pos) -> Result<u8, LexError> {
+        let fail = |msg: String| Err(LexError { msg, pos: at });
+        let out_of_range = |base: &str| {
+            format!("{base} escape sequence out of range for `unsigned char` (C11 6.4.4.4p9)")
+        };
+        let c = match self.bump() {
+            Some(c) => c,
+            None => return fail("unterminated escape sequence".into()),
+        };
+        Ok(match c {
+            b'n' => b'\n',
+            b't' => b'\t',
+            b'r' => b'\r',
+            b'a' => 0x07,
+            b'b' => 0x08,
+            b'f' => 0x0C,
+            b'v' => 0x0B,
+            b'\\' | b'\'' | b'"' | b'?' => c,
+            b'0'..=b'7' => {
+                let mut v = u32::from(c - b'0');
+                for _ in 0..2 {
+                    match self.peek() {
+                        Some(d @ b'0'..=b'7') => {
+                            v = v * 8 + u32::from(d - b'0');
+                            self.bump();
+                        }
                         _ => break,
-                    };
-                    v = v * 16 + u32::from(d);
+                    }
+                }
+                match u8::try_from(v) {
+                    Ok(v) => v,
+                    Err(_) => return fail(out_of_range("octal")),
+                }
+            }
+            b'x' => {
+                let mut v: u32 = 0;
+                let mut any = false;
+                while let Some(d) = self.peek().and_then(|d| (d as char).to_digit(16)) {
+                    // Saturate: any value above 0xFF is already an error.
+                    v = (v * 16 + d).min(0x100);
+                    any = true;
                     self.bump();
                 }
-                Ok(v as u8)
+                if !any {
+                    return fail("`\\x` used with no following hex digits (C11 6.4.4.4p1)".into());
+                }
+                match u8::try_from(v) {
+                    Ok(v) => v,
+                    Err(_) => return fail(out_of_range("hexadecimal")),
+                }
             }
-            _ => self.err("unsupported escape"),
-        }
+            _ => {
+                return fail(format!(
+                    "unknown escape sequence `\\{}` (C11 6.4.4.4p1)",
+                    c.escape_ascii()
+                ))
+            }
+        })
     }
 
     fn next_token(&mut self) -> Result<Option<Spanned>, LexError> {
@@ -389,8 +475,9 @@ impl Lexer<'_> {
             Tok::Ident(String::from_utf8_lossy(&self.src[start..self.i]).into_owned())
         } else if c == b'\'' {
             self.bump();
+            let at = self.pos();
             let v = match self.bump() {
-                Some(b'\\') => i64::from(self.lex_escape()?),
+                Some(b'\\') => i64::from(self.lex_escape(at)?),
                 Some(c) => i64::from(c),
                 None => return self.err("unterminated char literal"),
             };
@@ -402,25 +489,22 @@ impl Lexer<'_> {
             self.bump();
             let mut s = Vec::new();
             loop {
+                let at = self.pos();
                 match self.bump() {
                     Some(b'"') => break,
-                    Some(b'\\') => s.push(self.lex_escape()?),
+                    Some(b'\\') => s.push(self.lex_escape(at)?),
                     Some(c) => s.push(c),
                     None => return self.err("unterminated string literal"),
                 }
             }
             Tok::StrLit(String::from_utf8_lossy(&s).into_owned())
         } else {
-            let rest = &self.src[self.i..];
-            let p = PUNCTS
-                .iter()
-                .find(|p| rest.starts_with(p.as_bytes()))
-                .copied();
-            match p {
+            match punct(&self.src[self.i..]) {
                 Some(p) => {
-                    for _ in 0..p.len() {
-                        self.bump();
-                    }
+                    // A punctuator is on one line: advance without the
+                    // newline check of `bump`.
+                    self.i += p.len();
+                    self.col += p.len() as u32;
                     Tok::Punct(p)
                 }
                 None => return self.err(format!("unexpected character {:?}", c as char)),
@@ -446,14 +530,17 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     };
     let mut out = Vec::new();
     while let Some(t) = lx.next_token()? {
-        if let Tok::Ident(name) = &t.tok {
-            if let Some(expansion) = lx.macros.get(name) {
-                out.extend(expansion.iter().cloned().map(|mut s| {
-                    s.pos = t.pos;
-                    s
-                }));
-                continue;
-            }
+        // Most programs define no macro: then no identifier is hashed.
+        let expansion = match &t.tok {
+            Tok::Ident(name) if !lx.macros.is_empty() => lx.macros.get(name),
+            _ => None,
+        };
+        if let Some(expansion) = expansion {
+            out.extend(expansion.iter().cloned().map(|mut s| {
+                s.pos = t.pos;
+                s
+            }));
+            continue;
         }
         out.push(t);
     }
@@ -539,6 +626,46 @@ mod tests {
         assert_eq!(toks(r"'\n'")[0], Tok::CharLit(10));
         assert_eq!(toks("'A'")[0], Tok::CharLit(65));
         assert_eq!(toks(r#""hi\n""#)[0], Tok::StrLit("hi\n".into()));
+    }
+
+    #[test]
+    fn c11_escape_sequences() {
+        for (src, v) in [
+            (r"'\a'", 7),
+            (r"'\b'", 8),
+            (r"'\f'", 12),
+            (r"'\v'", 11),
+            (r"'\?'", 63),
+            (r"'\0'", 0),
+            (r"'\7'", 7),
+            (r"'\12'", 10),
+            (r"'\101'", 65),
+            (r"'\377'", 255),
+            (r"'\x41'", 65),
+            (r"'\xff'", 255),
+            (r"'\x00000041'", 65),
+        ] {
+            assert_eq!(toks(src)[0], Tok::CharLit(v), "{src}");
+        }
+        // An octal escape stops after three digits or at a non-octal digit.
+        assert_eq!(toks(r#""x\012y""#)[0], Tok::StrLit("x\ny".into()));
+        assert_eq!(toks(r#""\1011""#)[0], Tok::StrLit("A1".into()));
+        assert_eq!(toks(r#""\08""#)[0], Tok::StrLit("\u{0}8".into()));
+    }
+
+    #[test]
+    fn bad_escape_sequences_are_positioned_errors() {
+        for (src, col, msg) in [
+            (r"x = '\400';", 6, "octal escape sequence out of range"),
+            (r"x = '\x100';", 6, "hexadecimal escape sequence out of range"),
+            (r#"s = "ab\x123456789";"#, 8, "hexadecimal escape sequence out of range"),
+            (r"x = '\x';", 6, "used with no following hex digits"),
+            (r"x = '\q';", 6, r"unknown escape sequence `\q`"),
+        ] {
+            let e = lex(src).expect_err(src);
+            assert_eq!(e.pos, Pos { line: 1, col }, "{src}: {e}");
+            assert!(e.msg.contains(msg), "{src}: {e}");
+        }
     }
 
     #[test]

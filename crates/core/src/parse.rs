@@ -101,34 +101,41 @@ struct Declarator {
     own_param_names: Option<Vec<String>>,
 }
 
+/// The message for `sizeof` applied to a type without a size, named by
+/// `what` (C11 6.5.3.4p1).
+pub(crate) fn sizeof_error(what: &str) -> String {
+    format!("invalid application of `sizeof` to {what} (C11 6.5.3.4p1)")
+}
+
+/// The built-in typedef names (`<stdint.h>`, `<stddef.h>` and
+/// `<cheriintrin.h>` material), consulted after the program's own
+/// typedefs.
+fn builtin_typedef(name: &str) -> Option<IntTy> {
+    Some(match name {
+        "intptr_t" => IntTy::IntPtr,
+        "uintptr_t" => IntTy::UIntPtr,
+        "ptraddr_t" | "vaddr_t" => IntTy::PtrAddr,
+        "size_t" | "uint64_t" => IntTy::ULong,
+        "ptrdiff_t" | "int64_t" => IntTy::Long,
+        "intmax_t" => IntTy::LongLong,
+        "uintmax_t" => IntTy::ULongLong,
+        "int8_t" => IntTy::SChar,
+        "uint8_t" => IntTy::UChar,
+        "int16_t" => IntTy::Short,
+        "uint16_t" => IntTy::UShort,
+        "int32_t" => IntTy::Int,
+        "uint32_t" => IntTy::UInt,
+        _ => return None,
+    })
+}
+
 impl Parser {
     fn new(toks: Vec<Spanned>, layout: TargetLayout) -> Self {
-        let mut typedefs = HashMap::new();
-        for (name, ty) in [
-            ("intptr_t", Ty::Int(IntTy::IntPtr)),
-            ("uintptr_t", Ty::Int(IntTy::UIntPtr)),
-            ("ptraddr_t", Ty::Int(IntTy::PtrAddr)),
-            ("vaddr_t", Ty::Int(IntTy::PtrAddr)),
-            ("size_t", Ty::Int(IntTy::ULong)),
-            ("ptrdiff_t", Ty::Int(IntTy::Long)),
-            ("intmax_t", Ty::Int(IntTy::LongLong)),
-            ("uintmax_t", Ty::Int(IntTy::ULongLong)),
-            ("int8_t", Ty::Int(IntTy::SChar)),
-            ("uint8_t", Ty::Int(IntTy::UChar)),
-            ("int16_t", Ty::Int(IntTy::Short)),
-            ("uint16_t", Ty::Int(IntTy::UShort)),
-            ("int32_t", Ty::Int(IntTy::Int)),
-            ("uint32_t", Ty::Int(IntTy::UInt)),
-            ("int64_t", Ty::Int(IntTy::Long)),
-            ("uint64_t", Ty::Int(IntTy::ULong)),
-        ] {
-            typedefs.insert(name.to_string(), ty);
-        }
         Parser {
             toks,
             i: 0,
             types: TypeTable::new(layout),
-            typedefs,
+            typedefs: HashMap::new(),
             struct_tags: HashMap::new(),
             enum_consts: HashMap::new(),
             open_structs: Vec::new(),
@@ -145,11 +152,19 @@ impl Parser {
         self.toks[self.i].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.i].tok.clone();
+    /// Step past the current token (the final `Eof` is never passed).
+    fn bump(&mut self) {
         if self.i < self.toks.len() - 1 {
             self.i += 1;
         }
+    }
+
+    /// Step past the current token, moving it out of the token stream:
+    /// for tokens whose contents go into the AST. The parser backtracks
+    /// only over punctuators, never over a token taken here.
+    fn take(&mut self) -> Tok {
+        let t = std::mem::replace(&mut self.toks[self.i].tok, Tok::Eof);
+        self.bump();
         t
     }
 
@@ -186,11 +201,25 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> PResult<String> {
-        match self.bump() {
-            Tok::Ident(s) => Ok(s),
-            t => self.err(format!("expected identifier, found `{t}`")),
+    /// Take the current token if it is an identifier.
+    fn take_ident(&mut self) -> Option<String> {
+        if !matches!(self.peek(), Tok::Ident(_)) {
+            return None;
         }
+        match self.take() {
+            Tok::Ident(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn expect_ident(&mut self) -> PResult<String> {
+        if let Some(s) = self.take_ident() {
+            return Ok(s);
+        }
+        // The error is reported at the token after the offending one.
+        let msg = format!("expected identifier, found `{}`", self.peek());
+        self.bump();
+        self.err(msg)
     }
 
     fn is_kw(&self, kw: &str) -> bool {
@@ -201,12 +230,28 @@ impl Parser {
 
     /// Does the current token start a type (for cast/sizeof/decl detection)?
     fn at_type_start(&self) -> bool {
-        match self.peek() {
-            Tok::Ident(s) => {
-                TYPE_KEYWORDS.contains(&s.as_str()) || self.typedefs.contains_key(s)
-            }
+        self.type_start_at(self.i)
+    }
+
+    /// Does token `i` (clamped to the final `Eof`) start a type?
+    fn type_start_at(&self, i: usize) -> bool {
+        match &self.toks[i.min(self.toks.len() - 1)].tok {
+            Tok::Ident(s) => TYPE_KEYWORDS.contains(&s.as_str()) || self.is_typedef_name(s),
             _ => false,
         }
+    }
+
+    /// The type a typedef name stands for: the program's own typedefs
+    /// first, then the built-in ones.
+    fn typedef_ty(&self, name: &str) -> Option<Ty> {
+        match self.typedefs.get(name) {
+            Some(t) => Some(t.clone()),
+            None => builtin_typedef(name).map(Ty::Int),
+        }
+    }
+
+    fn is_typedef_name(&self, name: &str) -> bool {
+        self.typedefs.contains_key(name) || builtin_typedef(name).is_some()
     }
 
     /// Parse declaration specifiers: type keywords, struct/union/enum,
@@ -220,78 +265,52 @@ impl Parser {
         let mut base: Option<&'static str> = None;
         let mut longs = 0u32;
         let mut ty: Option<Ty> = None;
-        while let Tok::Ident(s) = self.peek().clone() {
-            {
-                match s.as_str() {
-                    "typedef" => {
-                        is_typedef = true;
-                        self.bump();
-                    }
-                    "const" => {
-                        is_const = true;
-                        self.bump();
-                    }
-                    "static" => {
-                        is_static = true;
-                        self.bump();
-                    }
-                    "volatile" | "extern" | "register" | "inline" | "_Atomic"
-                    | "restrict" => {
-                        self.bump();
-                    }
-                    "signed" => {
-                        signedness = Some(true);
-                        self.bump();
-                    }
-                    "unsigned" => {
-                        signedness = Some(false);
-                        self.bump();
-                    }
-                    "long" => {
-                        longs += 1;
-                        self.bump();
-                    }
-                    "void" | "char" | "short" | "int" | "_Bool" | "bool" | "float"
-                    | "double" => {
-                        if base.is_some() && !(base == Some("short") && s == "int") {
-                            break;
-                        }
-                        base = Some(match s.as_str() {
-                            "void" => "void",
-                            "char" => "char",
-                            "short" => "short",
-                            "_Bool" | "bool" => "bool",
-                            "float" => "float",
-                            "double" => "double",
-                            _ => "int",
-                        });
-                        self.bump();
-                    }
-                    "struct" | "union" => {
-                        let is_union = s == "union";
-                        self.bump();
-                        ty = Some(self.struct_or_union(is_union)?);
-                    }
-                    "enum" => {
-                        self.bump();
-                        ty = Some(self.enum_def()?);
-                    }
-                    _ => {
-                        if ty.is_none()
-                            && base.is_none()
-                            && signedness.is_none()
-                            && longs == 0
-                        {
-                            if let Some(t) = self.typedefs.get(&s) {
-                                ty = Some(t.clone());
-                                self.bump();
-                                continue;
-                            }
-                        }
+        while let Tok::Ident(s) = self.peek() {
+            match s.as_str() {
+                "typedef" => is_typedef = true,
+                "const" => is_const = true,
+                "static" => is_static = true,
+                "volatile" | "extern" | "register" | "inline" | "_Atomic" | "restrict" => {}
+                "signed" => signedness = Some(true),
+                "unsigned" => signedness = Some(false),
+                "long" => longs += 1,
+                "void" | "char" | "short" | "int" | "_Bool" | "bool" | "float" | "double" => {
+                    if base.is_some() && !(base == Some("short") && s == "int") {
                         break;
                     }
+                    base = Some(match s.as_str() {
+                        "void" => "void",
+                        "char" => "char",
+                        "short" => "short",
+                        "_Bool" | "bool" => "bool",
+                        "float" => "float",
+                        "double" => "double",
+                        _ => "int",
+                    });
+                }
+                "struct" | "union" => {
+                    let is_union = s == "union";
+                    self.bump();
+                    ty = Some(self.struct_or_union(is_union)?);
+                    continue;
+                }
+                "enum" => {
+                    self.bump();
+                    ty = Some(self.enum_def()?);
+                    continue;
+                }
+                _ => {
+                    if ty.is_none() && base.is_none() && signedness.is_none() && longs == 0 {
+                        if let Some(t) = self.typedef_ty(s) {
+                            ty = Some(t);
+                            self.bump();
+                            continue;
+                        }
+                    }
+                    break;
                 }
             }
+            self.bump();
         }
         let ty = if let Some(t) = ty {
             t
@@ -325,13 +344,7 @@ impl Parser {
     }
 
     fn struct_or_union(&mut self, is_union: bool) -> PResult<Ty> {
-        let tag = if let Tok::Ident(s) = self.peek() {
-            let s = s.clone();
-            self.bump();
-            Some(s)
-        } else {
-            None
-        };
+        let tag = self.take_ident();
         if self.eat_punct("{") {
             // Reserve the tag first so members may refer to the type itself
             // through pointers (`struct node *next`).
@@ -349,13 +362,15 @@ impl Parser {
                     let d = self.declarator()?;
                     let ty = (d.wrap)(base.clone());
                     if let Some(what) = self.incomplete(&ty) {
-                        return Err(ParseError {
-                            msg: format!(
-                                "member `{}` has incomplete type {what} (C11 6.7.2.1p3)",
+                        let msg = if matches!(ty, Ty::Array(_, None)) {
+                            format!(
+                                "member `{}` has {what}: flexible array members are not supported (C11 6.7.2.1p18)",
                                 d.name
-                            ),
-                            pos,
-                        });
+                            )
+                        } else {
+                            format!("member `{}` has {what} (C11 6.7.2.1p3)", d.name)
+                        };
+                        return Err(ParseError { msg, pos });
                     }
                     members.push((d.name, ty));
                     if !self.eat_punct(",") {
@@ -377,18 +392,18 @@ impl Parser {
         }
     }
 
-    /// Names the incomplete object type `ty` is or has as its element
-    /// type: `void`, or a struct or union whose body is still open. A
-    /// struct member must not have one (C11 6.7.2.1p3).
+    /// Names the type without a size that `ty` is or has as its element
+    /// type: one [`Ty::sizeless`] names, or a struct or union whose body is
+    /// still open. Neither a struct member (C11 6.7.2.1p3) nor the operand
+    /// of `sizeof` (6.5.3.4p1) may have one.
     fn incomplete(&self, ty: &Ty) -> Option<String> {
         match ty {
-            Ty::Void => Some("`void`".into()),
-            Ty::Array(elem, _) => self.incomplete(elem),
+            Ty::Array(elem, Some(_)) => self.incomplete(elem),
             Ty::Struct(id) | Ty::Union(id) if self.open_structs.contains(id) => {
                 let kind = if matches!(ty, Ty::Union(_)) { "union" } else { "struct" };
-                Some(format!("`{kind} {}`", self.types.structs[id.0].name))
+                Some(format!("incomplete type `{kind} {}`", self.types.structs[id.0].name))
             }
-            _ => None,
+            _ => ty.sizeless().map(Into::into),
         }
     }
 
@@ -455,8 +470,7 @@ impl Parser {
             if TYPE_KEYWORDS.contains(&s.as_str()) {
                 return self.err(format!("unexpected keyword `{s}` in declarator"));
             }
-            let name = s.clone();
-            self.bump();
+            let name = self.take_ident().expect("peeked an identifier");
             direct_is_ident = true;
             Declarator {
                 name,
@@ -612,7 +626,15 @@ impl Parser {
                     })
                 }
             },
-            ExprKind::SizeofTy(t) => self.types.size_of(t) as i128,
+            ExprKind::SizeofTy(t) => {
+                if let Some(what) = self.incomplete(t) {
+                    return Err(ParseError {
+                        msg: sizeof_error(&what),
+                        pos: e.pos,
+                    });
+                }
+                self.types.size_of(t) as i128
+            }
             ExprKind::AlignofTy(t) => self.types.align_of(t) as i128,
             ExprKind::Unary(UnOp::Neg, a) => -self.const_eval_i128(a)?,
             ExprKind::Unary(UnOp::BitNot, a) => !self.const_eval_i128(a)?,
@@ -756,7 +778,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> PResult<Expr> {
         let pos = self.pos();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             Tok::Punct("-") => {
                 self.bump();
                 ExprKind::Unary(UnOp::Neg, Box::new(self.unary_expr()?))
@@ -799,14 +821,8 @@ impl Parser {
             }
             Tok::Ident(s) if s == "sizeof" => {
                 self.bump();
-                if matches!(self.peek(), Tok::Punct("(")) && {
-                    // lookahead: `sizeof (type)` vs `sizeof (expr)`
-                    let save = self.i;
-                    self.bump();
-                    let is_ty = self.at_type_start();
-                    self.i = save;
-                    is_ty
-                } {
+                // Lookahead: `sizeof (type)` vs `sizeof (expr)`.
+                if matches!(self.peek(), Tok::Punct("(")) && self.type_start_at(self.i + 1) {
                     self.bump();
                     let t = self.type_name()?;
                     self.expect_punct(")")?;
@@ -822,24 +838,7 @@ impl Parser {
                 self.expect_punct(")")?;
                 ExprKind::AlignofTy(t)
             }
-            Tok::Punct("(") if {
-                let save = self.i;
-                let is_cast = {
-                    let mut p2 = self.i + 1;
-                    match &self.toks[p2.min(self.toks.len() - 1)].tok {
-                        Tok::Ident(s) => {
-                            let is_ty = TYPE_KEYWORDS.contains(&s.as_str())
-                                || self.typedefs.contains_key(s);
-                            let _ = &mut p2;
-                            is_ty
-                        }
-                        _ => false,
-                    }
-                };
-                self.i = save;
-                is_cast
-            } =>
-            {
+            Tok::Punct("(") if self.type_start_at(self.i + 1) => {
                 self.bump();
                 let t = self.type_name()?;
                 self.expect_punct(")")?;
@@ -919,7 +918,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> PResult<Expr> {
         let pos = self.pos();
-        let kind = match self.bump() {
+        let kind = match self.take() {
             Tok::IntLit {
                 value,
                 unsigned,

@@ -1283,3 +1283,37 @@ fn kernel_memory_counters_are_pinned() {
         assert_eq!(r.mem_stats, want, "{name}");
     }
 }
+
+/// A recycled memory arena hands its byte buffers to the next run cleared:
+/// a fresh allocation in the second program reads as uninitialised,
+/// although every buffer large enough for it was filled, and never freed,
+/// by the first program.
+#[test]
+fn recycled_memory_leaks_no_stale_byte() {
+    use crate::Interp;
+    use cheri_cap::MorelloCap;
+    let profile = Profile::cerberus();
+    // More filled buffers than the second program has allocations, so its
+    // `malloc` draws one of them whatever the pool's order.
+    let fill = crate::compile(
+        "int main(void) { char *p = 0;\n\
+         for (int i = 0; i < 8; i++) { p = malloc(65536); memset(p, 65, 65536); }\n\
+         return p[40000]; }",
+        &profile,
+    )
+    .unwrap();
+    let (r, mem) = Interp::<MorelloCap>::new(&fill, &profile).run_recycling();
+    assert_eq!(r.outcome, Outcome::Exit(65));
+    let read = crate::compile(
+        "int main(void) { char *p = malloc(65536); return p[40000]; }",
+        &profile,
+    )
+    .unwrap();
+    let r = Interp::<MorelloCap>::new(&read, &profile)
+        .with_recycled_memory(mem)
+        .run();
+    match r.outcome {
+        Outcome::Ub { ub, .. } => assert_eq!(ub, Ub::UninitialisedRead),
+        other => panic!("expected an uninitialised read, got {other}"),
+    }
+}

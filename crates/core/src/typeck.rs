@@ -777,12 +777,15 @@ impl Checker {
                 self.convert(arg, &to, true)
             }
             ExprKind::SizeofTy(t) => {
+                if let Some(what) = t.sizeless() {
+                    return err(pos, crate::parse::sizeof_error(what));
+                }
                 Ok(const_int(IntTy::ULong, self.types.size_of(&t) as i128, pos))
             }
             ExprKind::SizeofExpr(arg) => {
                 let a = self.expr(*arg)?;
-                if matches!(a.ty, Ty::Func { .. } | Ty::Void) {
-                    return err(pos, "sizeof of function or void");
+                if let Some(what) = a.ty.sizeless() {
+                    return err(pos, crate::parse::sizeof_error(what));
                 }
                 Ok(const_int(IntTy::ULong, self.types.size_of(&a.ty) as i128, pos))
             }

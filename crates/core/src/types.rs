@@ -422,6 +422,22 @@ impl Ty {
             _ => None,
         }
     }
+
+    /// Why a value of this type has no size, if it has none: it is `void`,
+    /// an array of unknown size, a function type, or an array of such
+    /// elements. [`TypeTable::size_of`] must not be asked for these;
+    /// `sizeof` (C11 6.5.3.4p1) and struct members (6.7.2.1p3) reject
+    /// them. (Structs and unions are complete once their body is parsed.)
+    #[must_use]
+    pub fn sizeless(&self) -> Option<&'static str> {
+        match self {
+            Ty::Void => Some("incomplete type `void`"),
+            Ty::Array(_, None) => Some("an array type of unknown size"),
+            Ty::Array(t, Some(_)) => t.sizeless(),
+            Ty::Func { .. } => Some("function type"),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Ty {

@@ -10,9 +10,10 @@
 //!
 //! The naive `(Provenance, Option<u8>, Option<u8>)` struct is 24 bytes —
 //! 16 of them the provenance enum — and the flat store keeps one `AbsByte`
-//! per reserved byte of every allocation, so the footprint (and cache
-//! traffic of `memcpy`/scalar loads) is dominated by it. The triple packs
-//! into a single `u64` instead:
+//! per written byte of every allocation (the prefix of its reserved
+//! footprint written so far), so the footprint (and cache traffic of
+//! `memcpy`/scalar loads) is dominated by it. The triple packs into a
+//! single `u64` instead:
 //!
 //! ```text
 //! bit  63..20   provenance id (44 bits; allocation/iota counters are
@@ -27,8 +28,11 @@
 //! Absent options keep a zero payload, so the packed form is canonical:
 //! bit-equality coincides with logical equality of the triple and the
 //! derived `PartialEq`/`Eq` stay correct. The all-zero word is exactly
-//! [`AbsByte::UNINIT`], which lets `vec![AbsByte::UNINIT; n]` and
-//! `buf.fill(AbsByte::UNINIT)` lower to `memset`.
+//! [`AbsByte::UNINIT`], which lets the fill of the gap below a write past
+//! the written prefix (`buf.resize(n, AbsByte::UNINIT)`) lower to
+//! `memset`. Bytes past the prefix are never stored: a read there yields
+//! `UNINIT` without touching memory, so neither allocating nor an
+//! abstract-machine `free` fills anything.
 
 use crate::{AllocId, IotaId, Provenance};
 

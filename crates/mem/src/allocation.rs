@@ -9,6 +9,11 @@ use crate::absbyte::AbsByte;
 use crate::capmeta::CapSlotBits;
 use crate::AllocId;
 
+/// Bytes of a flat-store allocation materialised at once on its first
+/// write (or the whole reserved footprint, if smaller); beyond it the
+/// written prefix grows by doubling.
+const MATERIALISE_MIN: usize = 4096;
+
 /// How an allocation was created.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AllocKind {
@@ -58,14 +63,18 @@ pub struct Allocation {
     pub readonly: bool,
     /// Diagnostic name (variable name or `"malloc"`).
     pub prefix: String,
-    /// Flat-store byte contents: one [`AbsByte`] per *reserved* byte, so the
-    /// hardware-emulation profiles can read stale/padding bytes the same way
-    /// the legacy global byte dictionary allowed. Empty when the instance
-    /// runs with [`MemConfig::legacy_store`](crate::MemConfig).
+    /// Flat-store byte contents: the prefix of the *reserved* footprint
+    /// written so far, one [`AbsByte`] per byte. Bytes at or past its length
+    /// read as [`AbsByte::UNINIT`] (what the legacy global byte dictionary
+    /// returns for an absent key), so the hardware-emulation profiles still
+    /// read stale and padding bytes, and the cost of an allocation follows
+    /// the bytes touched, not its size. Empty when the instance runs with
+    /// [`MemConfig::legacy_store`](crate::MemConfig).
     pub(crate) buf: Vec<AbsByte>,
     /// Flat-store capability-slot metadata: one packed entry per
     /// capability-aligned slot whose footprint lies inside the reserved
-    /// footprint (slot `k` is at address `first_slot + k * cap_bytes`).
+    /// footprint (slot `k` is at address `first_slot + k * cap_bytes`);
+    /// its words, too, materialise on the first tagged or ghost-marked slot.
     pub(crate) slots: CapSlotBits,
     /// Address of slot 0 of `slots`: the first capability-aligned address at
     /// or above `base`.
@@ -103,6 +112,48 @@ impl Allocation {
     #[must_use]
     pub fn reserved_end(&self) -> u64 {
         self.base.wrapping_add(self.reserved_size)
+    }
+
+    /// Flat store: number of bytes of the reserved footprint materialised
+    /// so far (the length of the written prefix).
+    #[must_use]
+    pub fn materialised_bytes(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Flat store: copy the bytes at offsets `off..off + out.len()` into
+    /// `out`; bytes past the written prefix read as [`AbsByte::UNINIT`].
+    pub(crate) fn read_into(&self, off: usize, out: &mut [AbsByte]) {
+        let end = off + out.len();
+        if end <= self.buf.len() {
+            out.copy_from_slice(&self.buf[off..end]);
+            return;
+        }
+        let have = self.buf.len().saturating_sub(off);
+        if have > 0 {
+            out[..have].copy_from_slice(&self.buf[off..]);
+        }
+        out[have..].fill(AbsByte::UNINIT);
+    }
+
+    /// Flat store: the bytes at offsets `off..off + len` for writing,
+    /// materialising the prefix up to `off + len` first. The buffer grows
+    /// amortised (at least doubling) but never past the reserved footprint,
+    /// so an object of up to [`MATERIALISE_MIN`] bytes takes one heap
+    /// allocation on its first write.
+    pub(crate) fn bytes_mut(&mut self, off: usize, len: usize) -> &mut [AbsByte] {
+        let end = off + len;
+        if end > self.buf.len() {
+            if end > self.buf.capacity() {
+                let target = end
+                    .max(2 * self.buf.capacity())
+                    .max(MATERIALISE_MIN)
+                    .min(self.reserved_size as usize);
+                self.buf.reserve_exact(target - self.buf.len());
+            }
+            self.buf.resize(end, AbsByte::UNINIT);
+        }
+        &mut self.buf[off..end]
     }
 
     /// Flat store: slot index of the capability-aligned address `addr`, if

@@ -40,12 +40,31 @@ pub struct SlotMeta {
 /// Each capability-aligned slot needs three bits — the stored tag and the
 /// two ghost bits — so slots are packed four bits wide into `u64` words
 /// (16 slots per word). Absent metadata reads as untagged-and-clean, exactly
-/// like an absent key in the legacy global [`CapMeta`] dictionary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// like an absent key in the legacy global [`CapMeta`] dictionary. The words
+/// materialise lazily: they cover the slots up to the highest one ever set
+/// to non-clean metadata, and the slots past them read as clean.
+#[derive(Clone, Debug, Default)]
 pub struct CapSlotBits {
     n: usize,
     words: Vec<u64>,
 }
+
+/// Equality is logical: words past the shorter materialised prefix compare
+/// as zero.
+impl PartialEq for CapSlotBits {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.n == other.n
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|w| *w == 0)
+    }
+}
+
+impl Eq for CapSlotBits {}
 
 /// Bit layout of one 4-bit slot entry in [`CapSlotBits`].
 const BIT_TAG: u64 = 0b0001;
@@ -55,12 +74,13 @@ const BIT_BOUNDS_UNSPEC: u64 = 0b0100;
 const TAG_LANES: u64 = 0x1111_1111_1111_1111;
 
 impl CapSlotBits {
-    /// A bitset for `n` capability slots, all untagged-and-clean.
+    /// A bitset for `n` capability slots, all untagged-and-clean (no word
+    /// is materialised until a slot is set).
     #[must_use]
     pub fn new(n: usize) -> Self {
         CapSlotBits {
             n,
-            words: vec![0; n.div_ceil(16)],
+            words: Vec::new(),
         }
     }
 
@@ -79,10 +99,10 @@ impl CapSlotBits {
     /// Metadata for slot `i` (out-of-range reads as untagged-and-clean).
     #[must_use]
     pub fn get(&self, i: usize) -> SlotMeta {
-        if i >= self.n {
+        let Some(w) = self.words.get(i / 16).filter(|_| i < self.n) else {
             return SlotMeta::default();
-        }
-        let nib = (self.words[i / 16] >> ((i % 16) * 4)) & 0xF;
+        };
+        let nib = (w >> ((i % 16) * 4)) & 0xF;
         SlotMeta {
             tag: nib & BIT_TAG != 0,
             ghost: GhostState {
@@ -107,14 +127,28 @@ impl CapSlotBits {
         if meta.ghost.bounds_unspecified {
             nib |= BIT_BOUNDS_UNSPEC;
         }
+        if i / 16 >= self.words.len() {
+            if nib == 0 {
+                return; // already reads as clean
+            }
+            self.words.resize(i / 16 + 1, 0);
+        }
         let shift = (i % 16) * 4;
         let w = &mut self.words[i / 16];
         *w = (*w & !(0xF << shift)) | (nib << shift);
     }
 
-    /// Reset every slot to untagged-and-clean.
+    /// Reset every slot to untagged-and-clean, dropping the materialised
+    /// words.
     pub fn clear_all(&mut self) {
-        self.words.fill(0);
+        self.words.clear();
+    }
+
+    /// Number of slots covered by materialised words; every slot from this
+    /// index on reads as untagged-and-clean.
+    #[must_use]
+    pub fn materialised_slots(&self) -> usize {
+        (self.words.len() * 16).min(self.n)
     }
 
     /// Number of tagged slots, by popcount over the tag lanes.
@@ -356,5 +390,23 @@ mod tests {
         let empty = CapSlotBits::new(0);
         assert!(empty.is_empty());
         assert_eq!(empty.tagged_count(), 0);
+    }
+
+    #[test]
+    fn slot_bits_materialise_on_first_non_clean_set() {
+        let mut b = CapSlotBits::new(1 << 16);
+        assert_eq!(b.materialised_slots(), 0);
+        b.set(40, SlotMeta::default()); // clean: nothing to record
+        assert_eq!(b.materialised_slots(), 0);
+        b.set(40, tagged());
+        assert_eq!(b.materialised_slots(), 48, "words up to slot 40's");
+        assert!(b.get(40).tag);
+        assert_eq!(b.get(1000), SlotMeta::default());
+        // Equality ignores how far the words reach.
+        b.set(40, SlotMeta::default());
+        assert_eq!(b, CapSlotBits::new(1 << 16));
+        assert_ne!(b, CapSlotBits::new(1));
+        b.clear_all();
+        assert_eq!(b.materialised_slots(), 0);
     }
 }

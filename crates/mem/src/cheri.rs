@@ -11,7 +11,10 @@
 //! `BTreeMap` dictionaries, and the default *flat store* — one contiguous
 //! `Vec<AbsByte>` buffer plus a packed capability-slot bitset per
 //! allocation, addressed through a sorted interval index over the pairwise
-//! disjoint reserved footprints.
+//! disjoint reserved footprints. Both per-allocation structures hold only
+//! the prefix written so far; the rest reads as uninitialised and untagged,
+//! like an absent dictionary key, so allocating and freeing cost the same
+//! whatever the size.
 //!
 //! The same type also serves as the *baseline* ISO C PNVI-ae-udi concrete
 //! model (§2.3) when constructed with `capabilities = false`, and as the
@@ -198,7 +201,8 @@ fn invalidate_slots(
     cb: u64,
     mode: TagInvalidation,
 ) -> usize {
-    let n_slots = a.slots.len() as u64;
+    // Slots past the materialised words are clean: nothing to invalidate.
+    let n_slots = a.slots.materialised_slots() as u64;
     if n_slots == 0 || hi <= a.first_slot {
         return 0;
     }
@@ -290,7 +294,7 @@ pub struct CheriMemory<C: Capability> {
     /// reused by subsequent allocations, so a long-lived instance (one
     /// batch-service worker) stops paying a heap allocation per program
     /// object. Buffer identity is not observable: a recycled buffer is
-    /// cleared and refilled with `UNINIT` exactly like a fresh one.
+    /// handed out cleared, an empty written prefix exactly like a fresh one.
     recycle: Vec<Vec<AbsByte>>,
     _cap: std::marker::PhantomData<C>,
 }
@@ -359,16 +363,17 @@ impl<C: Capability> CheriMemory<C> {
         self.sink = SinkHandle::none();
     }
 
-    /// A zeroed (`UNINIT`-filled) byte buffer of length `len`, drawn from
-    /// the recycle pool when a buffer with enough capacity is available.
+    /// An empty byte buffer (a written prefix of length 0) for an
+    /// allocation reserving `len` bytes: a recycled buffer with room for all
+    /// of them when the pool has one, cleared without a refill; otherwise a
+    /// new, unallocated one that grows on the first write.
     fn uninit_buf(&mut self, len: usize) -> Vec<AbsByte> {
         if let Some(i) = self.recycle.iter().position(|b| b.capacity() >= len) {
             let mut buf = self.recycle.swap_remove(i);
             buf.clear();
-            buf.resize(len, AbsByte::UNINIT);
             return buf;
         }
-        vec![AbsByte::UNINIT; len]
+        Vec::new()
     }
 
     /// Enable memory-event tracing: every observable action is recorded as
@@ -575,9 +580,7 @@ impl<C: Capability> CheriMemory<C> {
             let n_slots = Allocation::slot_count(base, reserved, first_slot, cb);
             let mut buf = self.uninit_buf(reserved as usize);
             if let Some(init) = init {
-                for (i, b) in init.iter().enumerate() {
-                    buf[i] = AbsByte::data(*b);
-                }
+                buf.extend(init.iter().map(|b| AbsByte::data(*b)));
             }
             (buf, crate::capmeta::CapSlotBits::new(n_slots), first_slot)
         };
@@ -696,7 +699,9 @@ impl<C: Capability> CheriMemory<C> {
                 }
                 self.caps.clear_range(base, end);
             } else {
-                alloc.buf.fill(AbsByte::UNINIT);
+                // Every byte reads as `UNINIT` and every slot as clean
+                // past the (now empty) written prefix.
+                alloc.buf.clear();
                 alloc.slots.clear_all();
                 // A slot whose footprint crosses the reserved end lives in
                 // the spill dictionary; forget it like the legacy clear did.
@@ -793,10 +798,10 @@ impl<C: Capability> CheriMemory<C> {
             for k in a.slots.tagged_indices() {
                 let slot = a.first_slot + k as u64 * cb;
                 let off = (slot - a.base) as usize;
-                let raw: Vec<u8> = a.buf[off..off + cb as usize]
-                    .iter()
-                    .map(AbsByte::concrete)
-                    .collect();
+                let mut abs = [AbsByte::UNINIT; SCALAR_BUF];
+                let abs = &mut abs[..cb as usize];
+                a.read_into(off, abs);
+                let raw: Vec<u8> = abs.iter().map(AbsByte::concrete).collect();
                 if let Some(cap) = C::decode(&raw, true) {
                     if overlaps(&cap) {
                         hits.push(k);
@@ -1132,8 +1137,7 @@ impl<C: Capability> CheriMemory<C> {
     fn read_bytes_into(&self, hit: Option<usize>, addr: u64, out: &mut [AbsByte]) {
         if let Some(i) = hit {
             let a = &self.allocations[i];
-            let off = (addr - a.base) as usize;
-            out.copy_from_slice(&a.buf[off..off + out.len()]);
+            a.read_into((addr - a.base) as usize, out);
             return;
         }
         let n = out.len() as u64;
@@ -1156,7 +1160,7 @@ impl<C: Capability> CheriMemory<C> {
                 let take = (a_end.min(end) - cur) as usize;
                 let off = (cur - base) as usize;
                 let dst = (cur - addr) as usize;
-                out[dst..dst + take].copy_from_slice(&a.buf[off..off + take]);
+                a.read_into(off, &mut out[dst..dst + take]);
                 cur += take as u64;
             } else {
                 let j = self.index.partition_point(|e| e.0 <= cur);
@@ -1178,8 +1182,7 @@ impl<C: Capability> CheriMemory<C> {
     fn write_abs_bytes(&mut self, hit: Option<usize>, addr: u64, data: &[AbsByte]) {
         if let Some(i) = hit {
             let a = &mut self.allocations[i];
-            let off = (addr - a.base) as usize;
-            a.buf[off..off + data.len()].copy_from_slice(data);
+            a.bytes_mut((addr - a.base) as usize, data.len()).copy_from_slice(data);
             return;
         }
         if self.cfg.legacy_store {
@@ -1197,7 +1200,7 @@ impl<C: Capability> CheriMemory<C> {
                 let off = (cur - base) as usize;
                 let src = (cur - addr) as usize;
                 let a = self.alloc_mut(id).expect("indexed allocation");
-                a.buf[off..off + take].copy_from_slice(&data[src..src + take]);
+                a.bytes_mut(off, take).copy_from_slice(&data[src..src + take]);
                 cur += take as u64;
             } else {
                 let j = self.index.partition_point(|e| e.0 <= cur);
@@ -1313,7 +1316,7 @@ impl<C: Capability> CheriMemory<C> {
         if let Some(i) = hit {
             let a = &mut self.allocations[i];
             let off = (addr - a.base) as usize;
-            for (o, d) in a.buf[off..off + data.len()].iter_mut().zip(data) {
+            for (o, d) in a.bytes_mut(off, data.len()).iter_mut().zip(data) {
                 *o = AbsByte::data(*d);
             }
         } else if self.cfg.legacy_store {
@@ -1329,8 +1332,8 @@ impl<C: Capability> CheriMemory<C> {
                     let off = (cur - base) as usize;
                     let src = (cur - addr) as usize;
                     let a = self.alloc_mut(id).expect("indexed allocation");
-                    for t in 0..take {
-                        a.buf[off + t] = AbsByte::data(data[src + t]);
+                    for (o, d) in a.bytes_mut(off, take).iter_mut().zip(&data[src..src + take]) {
+                        *o = AbsByte::data(*d);
                     }
                     cur += take as u64;
                 } else {

@@ -299,36 +299,76 @@ fn packed_absbyte_roundtrip_lossless() {
 /// referee: every outcome, including errors, is compared across stores.
 #[derive(Clone, Debug)]
 enum MOp {
-    Alloc { size: u8 },
+    Alloc { size: u32 },
     Free { t: u8 },
-    Store { t: u8, off: u8, val: i32 },
-    Load { t: u8, off: u8 },
-    StorePtr { t: u8, off: u8, src: u8 },
-    LoadPtr { t: u8, off: u8 },
-    StoreIntPtr { t: u8, off: u8, src: u8 },
-    LoadIntPtr { t: u8, off: u8 },
-    Copy { from: u8, to: u8, from_off: u8, to_off: u8, len: u8 },
-    Set { t: u8, off: u8, byte: u8, len: u8 },
+    Store { t: u8, off: Off, val: i32 },
+    Load { t: u8, off: Off },
+    StorePtr { t: u8, off: Off, src: u8 },
+    LoadPtr { t: u8, off: Off },
+    StoreIntPtr { t: u8, off: Off, src: u8 },
+    LoadIntPtr { t: u8, off: Off },
+    Copy { from: u8, to: u8, from_off: Off, to_off: Off, len: u8 },
+    Set { t: u8, off: Off, byte: u8, len: u8 },
 }
 
 cheri_qc::no_shrink!(MOp);
 
+/// An access offset into an allocation of requested size `size`: from its
+/// start, or around its end — `size - 64 + d`, so accesses reach past the
+/// requested size into the representability padding and beyond the
+/// reserved end, and in a large allocation land far past the prefix that
+/// earlier stores materialised.
+#[derive(Clone, Copy, Debug)]
+enum Off {
+    Start(u8),
+    End(u8),
+}
+
+impl Off {
+    fn resolve(self, size: u64) -> u64 {
+        match self {
+            Off::Start(d) => u64::from(d),
+            Off::End(d) => size.wrapping_sub(64).wrapping_add(u64::from(d)),
+        }
+    }
+}
+
+/// An offset below `span` from the start or, a third of the time, within
+/// 96 bytes of the end.
+fn arb_off(rng: &mut Rng, span: u8) -> Off {
+    if rng.gen_range(0..3u8) == 0 {
+        Off::End(rng.gen_range(0u8..96))
+    } else {
+        Off::Start(rng.gen_range(0..span))
+    }
+}
+
 /// A capability-width access offset: slot-aligned half the time, so tagged
 /// stores and loads are common rather than one draw in sixteen.
-fn cap_off(rng: &mut Rng) -> u8 {
-    if rng.gen() {
-        rng.gen_range(0u8..6) * 16
+fn cap_off(rng: &mut Rng) -> Off {
+    match rng.gen_range(0..4u8) {
+        0 => Off::Start(rng.gen_range(0u8..6) * 16),
+        1 => Off::End(rng.gen_range(0u8..6) * 16),
+        _ => arb_off(rng, 96),
+    }
+}
+
+/// A small object (1–95 bytes), or a quarter of the time a large one (up
+/// to 64 KiB), whose representability padding is often non-zero.
+fn arb_size(rng: &mut Rng) -> u32 {
+    if rng.gen_range(0..4u8) == 0 {
+        rng.gen_range(4096u32..=65536)
     } else {
-        rng.gen_range(0u8..96)
+        rng.gen_range(1u32..96)
     }
 }
 
 fn arb_mop(rng: &mut Rng) -> MOp {
     match rng.gen_range(0..10u8) {
-        0 => MOp::Alloc { size: rng.gen_range(1u8..96) },
+        0 => MOp::Alloc { size: arb_size(rng) },
         1 => MOp::Free { t: rng.gen() },
-        2 => MOp::Store { t: rng.gen(), off: rng.gen_range(0u8..96), val: rng.gen() },
-        3 => MOp::Load { t: rng.gen(), off: rng.gen_range(0u8..96) },
+        2 => MOp::Store { t: rng.gen(), off: arb_off(rng, 96), val: rng.gen() },
+        3 => MOp::Load { t: rng.gen(), off: arb_off(rng, 96) },
         4 => MOp::StorePtr { t: rng.gen(), off: cap_off(rng), src: rng.gen() },
         5 => MOp::LoadPtr { t: rng.gen(), off: cap_off(rng) },
         6 => MOp::StoreIntPtr { t: rng.gen(), off: cap_off(rng), src: rng.gen() },
@@ -336,13 +376,13 @@ fn arb_mop(rng: &mut Rng) -> MOp {
         8 => MOp::Copy {
             from: rng.gen(),
             to: rng.gen(),
-            from_off: rng.gen_range(0u8..64),
-            to_off: rng.gen_range(0u8..64),
+            from_off: arb_off(rng, 64),
+            to_off: arb_off(rng, 64),
             len: rng.gen_range(0u8..48),
         },
         _ => MOp::Set {
             t: rng.gen(),
-            off: rng.gen_range(0u8..64),
+            off: arb_off(rng, 64),
             byte: rng.gen(),
             len: rng.gen_range(0u8..48),
         },
@@ -355,19 +395,21 @@ fn arb_mops(rng: &mut Rng) -> Vec<MOp> {
 }
 
 /// Rebase a pointer to `addr + off` without the arithmetic UB check, so the
-/// sequence can probe out-of-bounds accesses too.
-fn at<C: Capability>(p: &PtrVal<C>, off: u8) -> PtrVal<C> {
+/// sequence can probe out-of-bounds accesses too. `size` is the requested
+/// size of the allocation `p` points to the start of.
+fn at<C: Capability>(p: &PtrVal<C>, size: u64, off: Off) -> PtrVal<C> {
     PtrVal::new(
         p.prov,
-        p.cap.with_address(p.addr().wrapping_add(u64::from(off))),
+        p.cap.with_address(p.addr().wrapping_add(off.resolve(size))),
     )
 }
 
 /// Run a mixed sequence and log every observable: op results (values and
 /// errors), the tagged-capability count after each op, a final byte/slot
-/// sweep over every allocation, the stats counters, and the event trace.
+/// sweep over the start and the end of every allocation, the stats
+/// counters, and the event trace.
 fn run_mixed<C: Capability>(cfg: MemConfig, ops: &[MOp]) -> Vec<String> {
-    fn pick<C: Capability>(ptrs: &[PtrVal<C>], t: u8) -> Option<PtrVal<C>> {
+    fn pick<C: Capability>(ptrs: &[(PtrVal<C>, u64)], t: u8) -> Option<(PtrVal<C>, u64)> {
         if ptrs.is_empty() {
             None
         } else {
@@ -376,90 +418,97 @@ fn run_mixed<C: Capability>(cfg: MemConfig, ops: &[MOp]) -> Vec<String> {
     }
     let mut mem = CheriMemory::<C>::new(cfg);
     mem.enable_trace();
-    let mut ptrs: Vec<PtrVal<C>> = Vec::new();
+    let mut ptrs: Vec<(PtrVal<C>, u64)> = Vec::new();
     let mut log: Vec<String> = Vec::new();
     for op in ops {
         let line = match *op {
             MOp::Alloc { size } => match mem.allocate_region(u64::from(size), 16) {
                 Ok(p) => {
-                    ptrs.push(p);
+                    ptrs.push((p, u64::from(size)));
                     format!("alloc @{:#x}", p.addr())
                 }
                 Err(e) => format!("alloc err {e:?}"),
             },
             MOp::Free { t } => match pick(&ptrs, t) {
-                Some(p) => format!("free {:?}", mem.kill(&p, true)),
+                Some((p, _)) => format!("free {:?}", mem.kill(&p, true)),
                 None => "skip".into(),
             },
             MOp::Store { t, off, val } => match pick(&ptrs, t) {
-                Some(p) => format!(
+                Some((p, n)) => format!(
                     "store {:?}",
-                    mem.store_int(&at(&p, off), 4, &IntVal::Num(i128::from(val)))
+                    mem.store_int(&at(&p, n, off), 4, &IntVal::Num(i128::from(val)))
                 ),
                 None => "skip".into(),
             },
             MOp::Load { t, off } => match pick(&ptrs, t) {
-                Some(p) => format!("load {:?}", mem.load_int(&at(&p, off), 4, true, false)),
+                Some((p, n)) => {
+                    format!("load {:?}", mem.load_int(&at(&p, n, off), 4, true, false))
+                }
                 None => "skip".into(),
             },
             MOp::StorePtr { t, off, src } => match (pick(&ptrs, t), pick(&ptrs, src)) {
-                (Some(p), Some(s)) => format!("storep {:?}", mem.store_ptr(&at(&p, off), &s)),
+                (Some((p, n)), Some((s, _))) => {
+                    format!("storep {:?}", mem.store_ptr(&at(&p, n, off), &s))
+                }
                 _ => "skip".into(),
             },
             MOp::LoadPtr { t, off } => match pick(&ptrs, t) {
-                Some(p) => format!("loadp {:?}", mem.load_ptr(&at(&p, off))),
+                Some((p, n)) => format!("loadp {:?}", mem.load_ptr(&at(&p, n, off))),
                 None => "skip".into(),
             },
             // `(u)intptr_t` objects: a capability-carrying integer of
             // capability width goes through the slot-metadata path of the
             // scalar store and load.
             MOp::StoreIntPtr { t, off, src } => match (pick(&ptrs, t), pick(&ptrs, src)) {
-                (Some(p), Some(s)) => {
+                (Some((p, n)), Some((s, _))) => {
                     let v = IntVal::Cap {
                         signed: false,
                         cap: s.cap,
                         prov: s.prov,
                     };
                     let size = mem.pointer_bytes() as u64;
-                    format!("storeu {:?}", mem.store_int(&at(&p, off), size, &v))
+                    format!("storeu {:?}", mem.store_int(&at(&p, n, off), size, &v))
                 }
                 _ => "skip".into(),
             },
             MOp::LoadIntPtr { t, off } => match pick(&ptrs, t) {
-                Some(p) => {
+                Some((p, n)) => {
                     let size = mem.pointer_bytes() as u64;
-                    format!("loadu {:?}", mem.load_int(&at(&p, off), size, false, true))
+                    format!("loadu {:?}", mem.load_int(&at(&p, n, off), size, false, true))
                 }
                 None => "skip".into(),
             },
             MOp::Copy { from, to, from_off, to_off, len } => {
                 match (pick(&ptrs, from), pick(&ptrs, to)) {
-                    (Some(f), Some(d)) => format!(
+                    (Some((f, fnn)), Some((d, dn))) => format!(
                         "copy {:?}",
-                        mem.memcpy(&at(&d, to_off), &at(&f, from_off), u64::from(len))
+                        mem.memcpy(&at(&d, dn, to_off), &at(&f, fnn, from_off), u64::from(len))
                     ),
                     _ => "skip".into(),
                 }
             }
             MOp::Set { t, off, byte, len } => match pick(&ptrs, t) {
-                Some(p) => format!(
+                Some((p, n)) => format!(
                     "set {:?}",
-                    mem.memset(&at(&p, off), byte, u64::from(len))
+                    mem.memset(&at(&p, n, off), byte, u64::from(len))
                 ),
                 None => "skip".into(),
             },
         };
         log.push(format!("{line}; tags={}", mem.tagged_caps_in_memory()));
     }
-    for p in &ptrs {
-        for off in (0..96u8).step_by(4) {
-            log.push(format!("sweep {:?}", mem.load_int(&at(p, off), 4, false, false)));
-        }
-        let cb = C::CAP_BYTES as u64;
-        let mut slot = (p.addr() + cb - 1) & !(cb - 1);
-        while slot < p.addr() + 96 {
-            log.push(format!("meta {slot:#x} {:?}", mem.cap_meta_at(slot)));
-            slot += cb;
+    let cb = C::CAP_BYTES as u64;
+    for &(p, n) in &ptrs {
+        for (lo, hi) in [(0, 96), (n.saturating_sub(64), n + 32)] {
+            for off in (lo..hi).step_by(4) {
+                let q = PtrVal::new(p.prov, p.cap.with_address(p.addr() + off));
+                log.push(format!("sweep {:?}", mem.load_int(&q, 4, false, false)));
+            }
+            let mut slot = (p.addr() + lo + cb - 1) & !(cb - 1);
+            while slot < p.addr() + hi {
+                log.push(format!("meta {slot:#x} {:?}", mem.cap_meta_at(slot)));
+                slot += cb;
+            }
         }
     }
     log.push(format!("stats {:?}", mem.stats));
@@ -477,7 +526,10 @@ fn run_mixed<C: Capability>(cfg: MemConfig, ops: &[MOp]) -> Vec<String> {
 /// the hardware profiles search the interval index. The test counts the
 /// successful scalar accesses under `cheri_reference` and requires every
 /// kind to occur, so the direct path is really compared with the legacy
-/// store.
+/// store. It also requires large allocations with non-zero
+/// representability padding, so accesses around their end compare the
+/// flat store's lazily materialised prefix (and its never-written tail)
+/// with the legacy store's absent keys.
 #[test]
 fn legacy_and_flat_stores_agree() {
     use cheri_cap::{CcCap, CheriotProfile};
@@ -493,7 +545,16 @@ fn legacy_and_flat_stores_agree() {
         "loadu Ok",
     ];
     let direct = Cell::new([0u32; KINDS.len()]);
+    let padded_large = Cell::new(0u32);
     check("legacy_and_flat_stores_agree", Config::cases(96), arb_mops, |ops| {
+        for op in ops {
+            if let MOp::Alloc { size } = *op {
+                let size = u64::from(size);
+                if size >= 4096 && MorelloCap::representable_length(size) > size {
+                    padded_large.set(padded_large.get() + 1);
+                }
+            }
+        }
         let morello_cfgs = [
             MemConfig::cheri_reference(),
             MemConfig::cheri_hardware(AddressLayout::clang_morello()),
@@ -534,4 +595,5 @@ fn legacy_and_flat_stores_agree() {
     for (kind, n) in KINDS.iter().zip(direct.get()) {
         assert!(n > 0, "no successful `{kind}` access under cheri_reference");
     }
+    assert!(padded_large.get() > 0, "no large allocation with padding");
 }

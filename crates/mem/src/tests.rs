@@ -718,3 +718,89 @@ fn overlapping_backward_memcpy_invalidates_the_moved_tag() {
     h.memcpy(&buf, &mid, 32).unwrap();
     assert!(!h.cap_meta_at(buf.addr()).tag, "hardware cleared the tag");
 }
+
+// ── Lazy flat store: contents materialise on first write ────────────────
+
+/// The allocation `p` points into.
+fn alloc_of(m: &Mem, p: &PtrVal<MorelloCap>) -> crate::Allocation {
+    match p.prov {
+        Provenance::Alloc(id) => m.allocation(id).expect("allocation").clone(),
+        other => panic!("no allocation provenance: {other:?}"),
+    }
+}
+
+#[test]
+fn large_region_materialises_no_bytes_and_no_slot_words() {
+    let mut m = reference();
+    let p = m.allocate_region(1 << 20, 16).unwrap();
+    let a = alloc_of(&m, &p);
+    assert!(a.reserved_size >= 1 << 20);
+    assert_eq!(a.materialised_bytes(), 0);
+    assert_eq!(a.slots.materialised_slots(), 0);
+    // Reading the never-written tail is an uninitialised read, not a panic.
+    let end = m.array_shift(&p, 1, (1 << 20) - 4).unwrap();
+    expect_ub(m.load_int(&end, 4, true, false), Ub::UninitialisedRead);
+    assert_eq!(alloc_of(&m, &p).materialised_bytes(), 0, "reads materialise nothing");
+}
+
+#[test]
+fn store_at_offset_k_materialises_exactly_k_plus_n_bytes() {
+    let mut m = reference();
+    let p = m.allocate_region(1 << 16, 16).unwrap();
+    let k = 1000;
+    let q = m.array_shift(&p, 1, k).unwrap();
+    m.store_int(&q, 8, &IntVal::Num(7)).unwrap();
+    let a = alloc_of(&m, &p);
+    assert_eq!(a.materialised_bytes(), k as usize + 8);
+    assert_eq!(a.slots.materialised_slots(), 0, "a data store tags no slot");
+    assert_eq!(m.load_int(&q, 8, true, false).unwrap().value(), 7);
+    // The gap below the store stays uninitialised.
+    let below = m.array_shift(&p, 1, k - 8).unwrap();
+    expect_ub(m.load_int(&below, 8, true, false), Ub::UninitialisedRead);
+    // A capability store materialises the slot words up to its slot.
+    let x = m.allocate_object("x", 4, 4, false, Some(&[0; 4])).unwrap();
+    let s = m.array_shift(&p, 1, 4096).unwrap();
+    m.store_ptr(&s, &x).unwrap();
+    let a = alloc_of(&m, &p);
+    assert_eq!(a.materialised_bytes(), 4096 + 16);
+    assert_eq!(a.slots.materialised_slots(), 4096 / 16 / 16 * 16 + 16);
+}
+
+#[test]
+fn abstract_free_leaves_no_materialised_bytes_or_slots() {
+    let mut m = reference();
+    let x = m.allocate_object("x", 4, 4, false, Some(&[0; 4])).unwrap();
+    let p = m.allocate_region(1 << 12, 16).unwrap();
+    m.memset(&p, 0x41, 64).unwrap();
+    let s = m.array_shift(&p, 1, 256).unwrap();
+    m.store_ptr(&s, &x).unwrap();
+    assert!(alloc_of(&m, &p).slots.materialised_slots() > 0);
+    m.kill(&p, true).unwrap();
+    let a = alloc_of(&m, &p);
+    assert_eq!(a.materialised_bytes(), 0);
+    assert_eq!(a.slots.materialised_slots(), 0);
+    assert_eq!(m.tagged_caps_in_memory(), 0);
+}
+
+#[test]
+fn hardware_free_keeps_the_stale_prefix() {
+    let mut m = hardware();
+    let p = m.allocate_region(64, 16).unwrap();
+    m.memset(&p, 0x41, 8).unwrap();
+    m.kill(&p, true).unwrap();
+    assert_eq!(alloc_of(&m, &p).materialised_bytes(), 8);
+}
+
+#[test]
+fn recycled_buffers_leak_no_stale_byte() {
+    let mut m = reference();
+    let p = m.allocate_region(1 << 16, 16).unwrap();
+    m.memset(&p, 0x41, 1 << 16).unwrap();
+    m.reset(MemConfig::cheri_reference());
+    let q = m.allocate_region(1 << 16, 16).unwrap();
+    assert_eq!(alloc_of(&m, &q).materialised_bytes(), 0);
+    for off in [0, 4, (1 << 15) + 4, (1 << 16) - 4] {
+        let r = m.array_shift(&q, 1, off).unwrap();
+        expect_ub(m.load_int(&r, 4, true, false), Ub::UninitialisedRead);
+    }
+}
